@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -62,21 +64,23 @@ class InstrumentationCounters:
 
 
 class MaxIndexHeap:
-    """Array-embedded binary max-heap of (key, payload) entries.
+    """Binary max-heap of (key, payload) entries on ``heapq``.
 
-    Keys must be finite; payloads are opaque and never compared, so entries
-    with equal keys pop in arbitrary order. Popping an empty heap is a usage
-    error (IndexError), unlike the domain errors raised for bad keys.
+    Entries are stored as ``(-key, seq, payload)``: the per-heap sequence
+    number breaks key ties in insertion order, so payloads are never
+    compared. Keys must be finite. Popping an empty heap is a usage error
+    (IndexError), unlike the domain errors raised for bad keys.
     """
 
-    __slots__ = ("_entries", "_counters", "_entry_bytes")
+    __slots__ = ("_entries", "_seq", "_counters", "_entry_bytes")
 
     def __init__(
         self,
         counters: InstrumentationCounters | None = None,
         entry_bytes: int = 2 * NUMBER_BYTES,
     ):
-        self._entries: list[tuple[float, Any]] = []
+        self._entries: list[tuple[float, int, Any]] = []
+        self._seq = itertools.count()
         self._counters = counters
         self._entry_bytes = entry_bytes
 
@@ -86,47 +90,17 @@ class MaxIndexHeap:
     def push(self, key: float, payload: Any = None) -> None:
         if not math.isfinite(key):
             raise InputError(f"heap keys must be finite, got {key!r}")
-        heap = self._entries
-        heap.append((key, payload))
-        i = len(heap) - 1
-        while i > 0:
-            parent = (i - 1) // 2
-            if heap[parent][0] >= heap[i][0]:
-                break
-            heap[parent], heap[i] = heap[i], heap[parent]
-            i = parent
+        heapq.heappush(self._entries, (-key, next(self._seq), payload))
         if self._counters is not None:
             self._counters.on_push(self._entry_bytes)
 
-    def peek(self) -> tuple[float, Any]:
-        if not self._entries:
-            raise IndexError("peek into an empty MaxIndexHeap")
-        return self._entries[0]
-
     def pop_max(self) -> tuple[float, Any]:
-        heap = self._entries
-        if not heap:
+        if not self._entries:
             raise IndexError("pop from an empty MaxIndexHeap")
-        top = heap[0]
-        last = heap.pop()
-        n = len(heap)
-        if n:
-            heap[0] = last
-            i = 0
-            while True:
-                child = 2 * i + 1
-                if child >= n:
-                    break
-                right = child + 1
-                if right < n and heap[right][0] > heap[child][0]:
-                    child = right
-                if heap[i][0] >= heap[child][0]:
-                    break
-                heap[i], heap[child] = heap[child], heap[i]
-                i = child
+        neg_key, _, payload = heapq.heappop(self._entries)
         if self._counters is not None:
             self._counters.on_pop(self._entry_bytes)
-        return top
+        return -neg_key, payload
 
 
 @dataclass
@@ -183,8 +157,14 @@ def capacity(lengths: Iterable[int]) -> int:
 
 
 def normalize_k(k: int, cap: int) -> int:
-    """Clamp a requested k to the instance capacity; negative k is a domain error."""
+    """Clamp a requested k to the instance capacity.
+
+    A k that is not an integer (bool included) or is negative is a domain
+    error.
+    """
     try:
+        if isinstance(k, bool):
+            raise TypeError
         k = operator.index(k)
     except TypeError:
         raise InputError(f"k must be an integer, got {k!r}") from None

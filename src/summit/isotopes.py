@@ -18,7 +18,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .core import InputError
+from .core import InputError, normalize_k
 from .tree import tree_top_k
 
 # Refuse naive expansion beyond this many configurations unless the caller
@@ -297,7 +297,7 @@ def top_peaks(
     the top k log-abundance sums; k is clamped to the number of distinct
     configurations. Peaks come back in non-increasing abundance order.
     """
-    if k < 1:
+    if normalize_k(k, 1) < 1:
         raise InputError(f"k must be >= 1, got {k}")
     tbl = builtin_isotope_table() if table is None else table
     counts = parse_formula(formula, tbl)

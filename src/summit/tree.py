@@ -3,8 +3,8 @@
 Each internal node serves the Cartesian sum of its two children without ever
 asking a child for more values than it has handed upward itself (plus one).
 Children are arbitrary ordered sources, so nodes compose: leaves serve single
-sorted vectors, internal nodes serve wider and wider spans, and the root
-serves the full m-vector sum one value at a time.
+sorted vectors, internal nodes serve the sums of adjacent runs of vectors,
+and the root serves the full m-vector sum one value at a time.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ class LeafSource:
     trivial.
     """
 
-    __slots__ = ("sorted_values", "permutation", "cursor", "span")
+    __slots__ = ("sorted_values", "permutation", "cursor")
 
-    def __init__(self, arr: np.ndarray, span: tuple[int, int]):
+    def __init__(self, arr: np.ndarray):
         self.sorted_values, self.permutation = sort_descending(arr)
         self.cursor = 0
-        self.span = span
 
     def pop_next(self) -> IndexedValue | None:
         if self.cursor == len(self.sorted_values):
@@ -61,30 +60,18 @@ class PairNode:
     does not exist yet, so realized-per-child never exceeds pops + 1.
     """
 
-    __slots__ = ("left", "right", "realized_left", "realized_right",
-                 "fringe", "pops", "span")
+    __slots__ = ("left", "right", "realized_left", "realized_right", "fringe", "pops")
 
-    def __init__(
-        self,
-        left: Source,
-        right: Source,
-        counters: InstrumentationCounters | None,
-        span: tuple[int, int],
-    ):
+    def __init__(self, left: Source, right: Source, counters: InstrumentationCounters):
         self.left = left
         self.right = right
         self.realized_left: list[IndexedValue] = []
         self.realized_right: list[IndexedValue] = []
         self.fringe = MaxIndexHeap(counters, entry_bytes=3 * NUMBER_BYTES)
         self.pops = 0
-        self.span = span
         # Children are nonempty by the input contract, so the corner cell
         # always exists.
         self._push_cell(0, 0)
-
-    @property
-    def exhausted(self) -> bool:
-        return len(self.fringe) == 0
 
     def _realize(self, margin: list[IndexedValue], child: Source) -> bool:
         nxt = child.pop_next()
@@ -124,7 +111,6 @@ class CartesianSumTree:
     """Built topology: a single-consumer iterator over the full sum."""
 
     root: Source
-    m: int
     counters: InstrumentationCounters
 
     def pop_next(self) -> IndexedValue | None:
@@ -139,65 +125,49 @@ class CartesianSumTree:
                 stack.append(node.left)
                 stack.append(node.right)
 
-    @property
-    def depth(self) -> int:
-        def walk(node: Source) -> int:
-            if isinstance(node, LeafSource):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
 
 def _build(axes: list[np.ndarray], lo: int, hi: int,
            counters: InstrumentationCounters) -> Source:
     if hi - lo == 1:
-        return LeafSource(axes[lo], span=(lo, hi))
+        return LeafSource(axes[lo])
     mid = lo + (hi - lo + 1) // 2  # left child takes the ceiling half
-    return PairNode(
-        _build(axes, lo, mid, counters),
-        _build(axes, mid, hi, counters),
-        counters,
-        span=(lo, hi),
-    )
+    return PairNode(_build(axes, lo, mid, counters), _build(axes, mid, hi, counters), counters)
 
 
-def build_tree(vectors, counters: InstrumentationCounters | None = None) -> CartesianSumTree:
+def _tree(axes: list[np.ndarray]) -> CartesianSumTree:
+    counters = InstrumentationCounters()
+    root = _build(axes, 0, len(axes), counters)
+    if isinstance(root, LeafSource):
+        # Single-vector degenerate tree: no pair heaps exist, so account the
+        # leaf cursor as a one-entry frontier to keep occupancy reporting total.
+        counters.peak_fringe_entries = 1
+        counters.peak_entry_bytes_estimate = 2 * NUMBER_BYTES
+    return CartesianSumTree(root, counters)
+
+
+def build_tree(vectors) -> CartesianSumTree:
     """Validate input and build the balanced pair-heap tree.
 
     A single vector degenerates to a bare LeafSource root with no pair nodes.
     Construction realizes exactly one value from each child of every node and
     seeds each fringe with the corner cell.
     """
-    axes = as_float_vectors(vectors)
-    if counters is None:
-        counters = InstrumentationCounters()
-    root = _build(axes, 0, len(axes), counters)
-    return CartesianSumTree(root=root, m=len(axes), counters=counters)
+    return _tree(as_float_vectors(vectors))
 
 
 def tree_top_k(vectors, k: int) -> TopKResult:
     """Top k values of the Cartesian sum via the pair-heap tree.
 
     Same contract as tensor_top_k: unsorted input accepted, k clamped to the
-    cell count, values non-increasing, index tuples in input order.
+    cell count, values non-increasing, index tuples in input order. The
+    counters equal those of build_tree followed by k pops, except that k=0
+    builds nothing and reports zero counters.
     """
     axes = as_float_vectors(vectors)
     want = normalize_k(k, capacity(len(a) for a in axes))
-    counters = InstrumentationCounters()
     if want == 0:
-        return TopKResult([], counters)
-
-    root = _build(axes, 0, len(axes), counters)
-    items: list[IndexedValue] = []
-    while len(items) < want:
-        item = root.pop_next()
-        if item is None:
-            break
-        items.append(item)
-    if items and counters.peak_fringe_entries == 0:
-        # Single-vector degenerate tree: no pair heaps exist, so account the
-        # leaf cursor as a one-entry frontier to keep occupancy reporting total.
-        counters.peak_fringe_entries = 1
-        counters.peak_entry_bytes_estimate = 2 * NUMBER_BYTES
-    return TopKResult(items, counters)
+        return TopKResult([], InstrumentationCounters())
+    tree = _tree(axes)
+    # want never exceeds the cell count, so the root never runs dry here.
+    items = [tree.root.pop_next() for _ in range(want)]
+    return TopKResult(items, tree.counters)

@@ -4,6 +4,7 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+from summit import LeafSource
 from summit.cli import main
 
 
@@ -32,6 +33,16 @@ def assert_well_formed(vectors, result, k):
             assert 0 <= i < len(vectors[d])
         recomputed = sum(vectors[d][i] for d, i in enumerate(item.indices))
         assert close(item.value, recomputed), (item, recomputed)
+
+
+def tree_depth(tree):
+    """Pair nodes on the longest root-to-leaf path of a built tree."""
+    def walk(node):
+        if isinstance(node, LeafSource):
+            return 0
+        return 1 + max(walk(node.left), walk(node.right))
+
+    return walk(tree.root)
 
 
 def check_tree_laziness(tree):

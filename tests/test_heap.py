@@ -15,17 +15,17 @@ def drain(heap):
     return out
 
 
-def test_peek_returns_max_of_three():
+def test_pop_max_returns_max_of_three():
     heap = MaxIndexHeap()
     for key in (1, 3, 2):
         heap.push(key)
-    assert heap.peek()[0] == 3
+    assert heap.pop_max()[0] == 3
 
 
-def test_singleton_peek():
+def test_singleton_pop_max():
     heap = MaxIndexHeap()
     heap.push(5)
-    assert heap.peek()[0] == 5
+    assert heap.pop_max()[0] == 5
 
 
 def test_duplicates_pop_in_sorted_order():
@@ -49,11 +49,6 @@ def test_single_entry_then_empty():
     assert len(heap) == 0
     with pytest.raises(IndexError):
         heap.pop_max()
-
-
-def test_peek_empty_is_usage_error():
-    with pytest.raises(IndexError):
-        MaxIndexHeap().peek()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

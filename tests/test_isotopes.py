@@ -241,6 +241,11 @@ class TestTopPeaks:
         with pytest.raises(InputError):
             top_peaks("C3H8", 0)
 
+    @pytest.mark.parametrize("bad", ["5", True, 2.0])
+    def test_non_integer_k_rejected(self, bad):
+        with pytest.raises(InputError):
+            top_peaks("C3H8", bad)
+
     def test_engines_agree_on_masses_and_configs(self):
         counts = parse_formula("C6H12O6N3S2")
         expanded = [expand_element(s, c) for s, c in counts]

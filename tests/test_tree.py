@@ -16,14 +16,14 @@ from summit import (
     tree_top_k,
 )
 
-from helpers import assert_values_match, assert_well_formed, check_tree_laziness
+from helpers import assert_values_match, assert_well_formed, check_tree_laziness, tree_depth
 
 
 class TestTopology:
     def test_single_vector_degenerates_to_leaf(self):
         tree = build_tree([[3, 1, 2]])
         assert isinstance(tree.root, LeafSource)
-        assert tree.depth == 0
+        assert tree_depth(tree) == 0
         assert list(tree.pair_nodes()) == []
 
     def test_four_vectors_balanced(self):
@@ -32,7 +32,7 @@ class TestTopology:
         assert isinstance(root, PairNode)
         assert isinstance(root.left, PairNode)
         assert isinstance(root.right, PairNode)
-        assert tree.depth == 2
+        assert tree_depth(tree) == 2
         leaves = [root.left.left, root.left.right, root.right.left, root.right.right]
         assert all(isinstance(leaf, LeafSource) for leaf in leaves)
 
@@ -40,14 +40,15 @@ class TestTopology:
         tree = build_tree([[1], [2], [3]])
         root = tree.root
         assert isinstance(root.left, PairNode)
-        assert root.left.span == (0, 2)
+        assert root.left.left.sorted_values == [1.0]
+        assert root.left.right.sorted_values == [2.0]
         assert isinstance(root.right, LeafSource)
-        assert root.right.span == (2, 3)
+        assert root.right.sorted_values == [3.0]
 
     def test_depth_is_log2_ceiling(self):
         for m in range(1, 14):
             tree = build_tree([[0.0]] * m)
-            assert tree.depth == math.ceil(math.log2(m))
+            assert tree_depth(tree) == math.ceil(math.log2(m))
 
     def test_build_state_root_and_inner_nodes(self):
         # Building realizes one value from each child, which cascades: a node
@@ -59,9 +60,10 @@ class TestTopology:
         assert len(root.fringe) == 1
         assert len(root.realized_left) == 1
         assert len(root.realized_right) == 1
+        depth = tree_depth(tree)
         for node in tree.pair_nodes():
             if node is not root:
-                assert 1 <= node.pops <= tree.depth
+                assert 1 <= node.pops <= depth
         check_tree_laziness(tree)
 
 
@@ -71,7 +73,7 @@ class TestPairNodePops:
         popped = [tree.pop_next() for _ in range(4)]
         assert [item.value for item in popped] == [7.0, 5.0, 5.0, 3.0]
         assert tree.pop_next() is None
-        assert tree.root.exhausted
+        assert len(tree.root.fringe) == 0
 
     def test_fringe_small_after_first_pop(self):
         tree = build_tree([[3, 1], [4, 2]])
@@ -137,6 +139,23 @@ def test_domain_errors(bad):
 def test_negative_k_rejected():
     with pytest.raises(InputError):
         tree_top_k([[1.0]], -2)
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize("bad", ["5", True, 2.0])
+def test_non_integer_k_rejected(engine, bad):
+    with pytest.raises(InputError):
+        engine([[1.0, 2.0], [3.0]], bad)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_build_then_pop_counters_match_engine(m):
+    vectors = generate_instance(m, 3, seed=m)
+    for k in (1, 5, 3**m):
+        tree = build_tree(vectors)
+        for _ in range(k):
+            tree.pop_next()
+        assert tree.counters == tree_top_k(vectors, k).counters
 
 
 def test_total_fringe_bounded_by_pops_plus_nodes():
