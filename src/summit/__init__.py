@@ -8,7 +8,7 @@ X1 + X2 + ... + Xm together with the index tuples that produce them:
 - tree_top_k: balanced binary tree of lazy pairwise sum heaps
 
 On top of the tree engine, top_peaks computes the most abundant isotope
-peaks of a molecular formula.
+peaks of a molecular formula from lazy per-element sources (ElementSource).
 """
 
 from .bench import ENGINES, generate_instance, measure, mix64, run_bench
@@ -17,9 +17,11 @@ from .core import (
     InputError,
     InstrumentationCounters,
     MaxIndexHeap,
+    SumOverflowError,
     TopKResult,
 )
 from .isotopes import (
+    ElementSource,
     FormulaError,
     Isotope,
     IsotopeTable,
@@ -42,6 +44,7 @@ __all__ = [
     "ENGINES",
     "ORACLE_CELL_CAP",
     "CartesianSumTree",
+    "ElementSource",
     "FormulaError",
     "IndexedValue",
     "InputError",
@@ -53,6 +56,7 @@ __all__ = [
     "MaxIndexHeap",
     "PairNode",
     "Peak",
+    "SumOverflowError",
     "TopKResult",
     "brute_force_top_k",
     "build_tree",

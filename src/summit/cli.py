@@ -12,7 +12,12 @@ import sys
 
 from .bench import ENGINES, run_bench
 from .core import InputError
-from .isotopes import builtin_isotope_table, load_isotope_table, parse_formula, top_peaks
+from .isotopes import (
+    builtin_isotope_table,
+    load_isotope_table,
+    parse_formula,
+    top_peaks_of_counts,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,13 +103,13 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 def cmd_isotopes(args: argparse.Namespace) -> int:
     table = load_isotope_table(args.data) if args.data else builtin_isotope_table()
-    symbols = [symbol for symbol, _ in parse_formula(args.formula, table)]
-    peaks = top_peaks(args.formula, args.k, table, args.prune_delta)
+    counts = parse_formula(args.formula, table)
+    peaks = top_peaks_of_counts(counts, args.k, table, args.prune_delta)
     out = sys.stdout
     for rank, peak in enumerate(peaks, 1):
         config = ";".join(
             f"{symbol}[{','.join(str(c) for c in comp)}]"
-            for symbol, comp in zip(symbols, peak.configuration)
+            for (symbol, _), comp in zip(counts, peak.configuration)
         )
         out.write(f"{rank}\t{peak.mass:.12g}\t{peak.abundance:.12g}\t{config}\n")
     return EXIT_OK

@@ -24,6 +24,14 @@ class InputError(ValueError):
     """Input violates an engine's domain contract (shape, finiteness, k)."""
 
 
+class SumOverflowError(InputError):
+    """A Cartesian sum of finite inputs left the float range; every engine
+    reports overflow with this error and its default message."""
+
+    def __init__(self, message: str = "Cartesian sum overflowed the float range"):
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class IndexedValue:
     """One Cartesian-sum value and the original-index tuple that produced it."""
@@ -68,8 +76,10 @@ class MaxIndexHeap:
 
     Entries are stored as ``(-key, seq, payload)``: the per-heap sequence
     number breaks key ties in insertion order, so payloads are never
-    compared. Keys must be finite. Popping an empty heap is a usage error
-    (IndexError), unlike the domain errors raised for bad keys.
+    compared. Keys must be finite: the engines push sums of finite inputs,
+    so a non-finite key means a sum overflowed, and push raises
+    SumOverflowError. Popping an empty heap is a usage error (IndexError),
+    unlike the domain errors raised for bad keys.
     """
 
     __slots__ = ("_entries", "_seq", "_counters", "_entry_bytes")
@@ -89,7 +99,7 @@ class MaxIndexHeap:
 
     def push(self, key: float, payload: Any = None) -> None:
         if not math.isfinite(key):
-            raise InputError(f"heap keys must be finite, got {key!r}")
+            raise SumOverflowError()
         heapq.heappush(self._entries, (-key, next(self._seq), payload))
         if self._counters is not None:
             self._counters.on_push(self._entry_bytes)

@@ -1,10 +1,12 @@
 """Isotope peaks of a molecular formula via top-k selection.
 
-A formula with m distinct elements becomes m vectors of log abundances, one
-entry per way of distributing that element's atoms over its isotopes. The
-most abundant molecular configurations are then exactly the top values of the
-Cartesian sum of those vectors, and each winning index tuple maps back to an
-isotope composition and a mass.
+A formula with m distinct elements becomes m ordered sources of log
+abundances, one entry per way of distributing that element's atoms over its
+isotopes. The most abundant molecular configurations are then exactly the top
+values of the Cartesian sum of those sources, and each winning index tuple
+maps back to an isotope composition and a mass. Each source walks out from
+its element's multinomial mode, so only the compositions the top k reach are
+ever computed; `expand_element` enumerates them all and is the reference.
 
 Everything runs in the natural-log domain so probabilities multiply by
 addition; linear abundance is materialized only at output.
@@ -12,18 +14,27 @@ addition; linear abundance is materialized only at output.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .core import InputError, normalize_k
-from .tree import tree_top_k
+from .core import IndexedValue, InputError, normalize_k
+from .tree import assemble_tree
+from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
 
 # Refuse naive expansion beyond this many configurations unless the caller
-# opts into pruning.
+# opts into pruning. ElementSource never enumerates, so the cap is
+# expand_element's alone.
 EXPANSION_CAP = 10_000_000
+
+# Most compositions an ElementSource may explore beyond those it has emitted.
+# It explores ahead only through compositions whose log abundances lie within
+# rounding error of each other; this many means the error exceeds their
+# spacing (counts near 2**31), and the walk refuses rather than exhaust memory.
+LOOKAHEAD_CAP = 100_000
 
 _MAX_COUNT = 2**31 - 1
 
@@ -208,10 +219,12 @@ def expand_element(
     probability (log-gamma multinomial coefficient plus per-isotope terms)
     and a mass.
 
-    Generation is naive full enumeration. With prune_delta set, entries more
-    than prune_delta below the best log abundance are dropped afterwards and
-    the cap is waived (enumeration time is still proportional to the full
-    count). Output order is unspecified; the selection engines sort anyway.
+    This is the naive path, kept as the reference that ElementSource is
+    tested against: generation is full enumeration. With prune_delta set,
+    entries more than prune_delta below the best log abundance are dropped
+    afterwards and the cap is waived (enumeration time is still proportional
+    to the full count). Output order is unspecified; the selection engines
+    sort anyway.
     """
     tbl = builtin_isotope_table() if table is None else table
     isotopes = tbl[symbol]
@@ -244,7 +257,7 @@ def expand_element(
         compositions.append(comp)
 
     if prune_delta is not None:
-        if prune_delta < 0:
+        if not prune_delta >= 0:  # NaN too
             raise InputError(f"prune_delta must be >= 0, got {prune_delta}")
         floor = max(log_abundances) - prune_delta
         keep = [t for t, la in enumerate(log_abundances) if la >= floor]
@@ -253,6 +266,152 @@ def expand_element(
         compositions = [compositions[t] for t in keep]
 
     return IsotopologueVector(symbol, count, log_abundances, masses, compositions)
+
+
+class ElementSource:
+    """One element's isotope compositions, served lazily in non-increasing
+    log abundance: an ordered source for the tree engine.
+
+    The walk starts at the multinomial mode and goes best-first over
+    single-atom isotope moves with a visited set (the IsoSpec strategy).
+    Every composition that is not a mode has a strictly more likely
+    neighbour, and the modes are linked by moves between equally likely
+    compositions, so from any composition a chain of moves that never lowers
+    the abundance leads back to the start. Values use expand_element's
+    expression and are bit-identical to it.
+
+    Rounding can order two equally likely compositions an ulp apart against
+    the walk, so the heap keys a composition whose moves are not yet explored
+    by its log abundance plus `slack`, a bound on that rounding error, and
+    an explored one by its log abundance. The heap's top is then either safe
+    to emit or the next composition to explore. A walk that would explore
+    more than LOOKAHEAD_CAP compositions ahead of those it has emitted raises
+    InputError.
+
+    Only emitted entries are recorded, in `compositions` and `masses`, at
+    the position pop_next reports, so peaks_from_items maps results through
+    an ElementSource as it does through an IsotopologueVector. With
+    prune_delta set the walk stops below the best log abundance minus
+    prune_delta, which emits exactly the entries expand_element keeps.
+    """
+
+    __slots__ = ("compositions", "masses", "_name", "_log_p", "_iso_mass", "_lg_total",
+                 "_slack", "_moves", "_prune_delta", "_floor", "_heap", "_seen", "_ahead")
+
+    def __init__(
+        self,
+        symbol: str,
+        count: int,
+        table: IsotopeTable | None = None,
+        prune_delta: float | None = None,
+    ):
+        tbl = builtin_isotope_table() if table is None else table
+        isotopes = tbl[symbol]
+        if count < 1:
+            raise InputError(f"atom count must be >= 1, got {count}")
+        if prune_delta is not None and not prune_delta >= 0:  # NaN too
+            raise InputError(f"prune_delta must be >= 0, got {prune_delta}")
+        self.compositions: list[tuple[int, ...]] = []
+        self.masses: list[float] = []
+        self._name = f"element {symbol} with {count} atoms"
+        self._log_p = [math.log(iso.abundance) for iso in isotopes]
+        self._iso_mass = [iso.mass for iso in isotopes]
+        self._lg_total = math.lgamma(count + 1)
+        e = len(isotopes)
+        # A log abundance takes about 3e float operations plus log and lgamma
+        # calls on values no larger than `scale`, each erring by a few units
+        # of 2**-53 of it; slack covers the difference of two such errors
+        # four times over.
+        scale = 2 * self._lg_total + count * max(-lp for lp in self._log_p)
+        self._slack = (3 * e + 5) * scale * 2.0**-50
+        self._moves = [(i, j) for i in range(e) for j in range(e) if i != j]
+        self._prune_delta = prune_delta
+        self._floor = -math.inf
+        mode = self._mode(count, [iso.abundance for iso in isotopes])
+        # Entries are (-key, unexplored, composition, log abundance): at equal
+        # keys an explored composition comes first, and compositions are
+        # distinct int tuples, so the order is total and deterministic.
+        self._heap: list[tuple[float, int, tuple[int, ...], float]] = []
+        self._seen = {mode}
+        self._ahead = 0  # explored but not yet emitted
+        self._push(mode)
+
+    def __len__(self) -> int:
+        return len(self.compositions)
+
+    def _mode(self, count: int, abundances: list[float]) -> tuple[int, ...]:
+        """A most likely composition, by hill-climbing single-atom moves from
+        the rounded expectation count * p.
+
+        The log-multinomial is M-concave on the simplex, so a composition
+        that no single move improves is a global mode. A move must gain more
+        than a fraction of the slack, so rounding noise on an exact tie
+        cannot make the climb cycle.
+        """
+        total = sum(abundances)
+        comp = [int(count * a / total) for a in abundances]
+        comp[comp.index(max(comp))] += count - sum(comp)
+        log_p = self._log_p
+        while True:
+            best, move = self._slack / 8, None
+            for i, j in self._moves:
+                if comp[i]:
+                    gain = log_p[j] - log_p[i] + math.log(comp[i]) - math.log(comp[j] + 1)
+                    if gain > best:
+                        best, move = gain, (i, j)
+            if move is None:
+                return tuple(comp)
+            i, j = move
+            comp[i] -= 1
+            comp[j] += 1
+
+    def _push(self, comp: tuple[int, ...]) -> None:
+        lgamma = math.lgamma
+        la = self._lg_total
+        for kj, lpj in zip(comp, self._log_p):
+            la += kj * lpj - lgamma(kj + 1)
+        heapq.heappush(self._heap, (-(la + self._slack), 1, comp, la))
+
+    def _explore(self, comp: tuple[int, ...]) -> None:
+        seen = self._seen
+        for i, j in self._moves:
+            if comp[i]:
+                moved = list(comp)
+                moved[i] -= 1
+                moved[j] += 1
+                nxt = tuple(moved)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    self._push(nxt)
+
+    def pop_next(self) -> IndexedValue | None:
+        heap = self._heap
+        while heap:
+            neg_key, unexplored, comp, la = heapq.heappop(heap)
+            if unexplored and -neg_key >= self._floor:
+                self._ahead += 1
+                if self._ahead > LOOKAHEAD_CAP:
+                    raise InputError(
+                        f"{self._name}: over {LOOKAHEAD_CAP} compositions lie within "
+                        "rounding error of each other, too close to order"
+                    )
+                self._explore(comp)
+                if heap and -heap[0][0] > la:
+                    heapq.heappush(heap, (-la, 0, comp, la))
+                    continue
+            if la < self._floor:
+                heap.clear()  # everything left is below the floor
+                return None
+            if not self.compositions and self._prune_delta is not None:
+                self._floor = la - self._prune_delta
+            mass = 0.0
+            for kj, mj in zip(comp, self._iso_mass):
+                mass += kj * mj
+            self._ahead -= 1
+            self.compositions.append(comp)
+            self.masses.append(mass)
+            return IndexedValue(la, (len(self.compositions) - 1,))
+        return None
 
 
 @dataclass(frozen=True)
@@ -266,7 +425,8 @@ class Peak:
 
 
 def peaks_from_items(expanded: list[IsotopologueVector], items) -> list[Peak]:
-    """Map selection results (index tuples into the expanded vectors) to peaks."""
+    """Map selection results to peaks; index tuples point into each element's
+    IsotopologueVector or ElementSource."""
     peaks = []
     for item in items:
         mass = 0.0
@@ -293,16 +453,31 @@ def top_peaks(
 ) -> list[Peak]:
     """The k most abundant isotope peaks of a molecular formula.
 
-    One multinomial vector per distinct element, then the tree engine selects
-    the top k log-abundance sums; k is clamped to the number of distinct
-    configurations. Peaks come back in non-increasing abundance order.
+    One ElementSource per distinct element, and the tree engine selects the
+    top k log-abundance sums from them. Fewer than k peaks come back when
+    the formula has fewer configurations, or prune_delta keeps fewer. Peaks
+    come back in non-increasing abundance order.
     """
+    tbl = builtin_isotope_table() if table is None else table
+    return top_peaks_of_counts(parse_formula(formula, tbl), k, tbl, prune_delta)
+
+
+def top_peaks_of_counts(
+    counts: list[tuple[str, int]],
+    k: int,
+    table: IsotopeTable | None = None,
+    prune_delta: float | None = None,
+) -> list[Peak]:
+    """top_peaks for an already parsed formula: (symbol, count) pairs."""
     if normalize_k(k, 1) < 1:
         raise InputError(f"k must be >= 1, got {k}")
     tbl = builtin_isotope_table() if table is None else table
-    counts = parse_formula(formula, tbl)
-    expanded = [
-        expand_element(symbol, count, tbl, prune_delta) for symbol, count in counts
-    ]
-    result = tree_top_k([vec.log_abundances for vec in expanded], k)
-    return peaks_from_items(expanded, result.items)
+    sources = [ElementSource(symbol, count, tbl, prune_delta) for symbol, count in counts]
+    root = assemble_tree(sources).root
+    items = []
+    while len(items) < k:
+        item = root.pop_next()
+        if item is None:  # every configuration, or every one prune_delta kept
+            break
+        items.append(item)
+    return peaks_from_items(sources, items)

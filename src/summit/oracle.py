@@ -13,6 +13,7 @@ from .core import (
     IndexedValue,
     InputError,
     InstrumentationCounters,
+    SumOverflowError,
     TopKResult,
     as_float_vectors,
     capacity,
@@ -43,11 +44,13 @@ def brute_force_top_k(vectors, k: int, cap: int = ORACLE_CELL_CAP) -> TopKResult
         return TopKResult([], counters)
 
     grid = axes[0]
-    for arr in axes[1:]:
-        grid = np.add.outer(grid, arr)
+    # Overflow is reported as SumOverflowError below, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arr in axes[1:]:
+            grid = np.add.outer(grid, arr)
     flat = grid.reshape(-1)
     if not np.isfinite(flat).all():
-        raise InputError("Cartesian sum overflowed the float range")
+        raise SumOverflowError()
 
     # argsort of the negated grid is stable, so equal values keep C order,
     # i.e. lexicographic index tuples.

@@ -10,7 +10,7 @@ and the root serves the full m-vector sum one value at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -25,6 +25,12 @@ from .core import (
     normalize_k,
     sort_descending,
 )
+
+
+class Source(Protocol):
+    """An ordered source: values in non-increasing order, then None forever."""
+
+    def pop_next(self) -> IndexedValue | None: ...
 
 
 class LeafSource:
@@ -103,9 +109,6 @@ class PairNode:
         return item
 
 
-Source = Union[LeafSource, PairNode]
-
-
 @dataclass
 class CartesianSumTree:
     """Built topology: a single-consumer iterator over the full sum."""
@@ -126,20 +129,25 @@ class CartesianSumTree:
                 stack.append(node.right)
 
 
-def _build(axes: list[np.ndarray], lo: int, hi: int,
+def _build(sources: list[Source], lo: int, hi: int,
            counters: InstrumentationCounters) -> Source:
     if hi - lo == 1:
-        return LeafSource(axes[lo])
+        return sources[lo]
     mid = lo + (hi - lo + 1) // 2  # left child takes the ceiling half
-    return PairNode(_build(axes, lo, mid, counters), _build(axes, mid, hi, counters), counters)
+    return PairNode(_build(sources, lo, mid, counters), _build(sources, mid, hi, counters),
+                    counters)
 
 
-def _tree(axes: list[np.ndarray]) -> CartesianSumTree:
+def assemble_tree(sources: list[Source]) -> CartesianSumTree:
+    """The balanced pair-heap tree over ready-made, nonempty ordered sources.
+
+    Sources are leaves in the order given; one source is the root itself.
+    """
     counters = InstrumentationCounters()
-    root = _build(axes, 0, len(axes), counters)
-    if isinstance(root, LeafSource):
-        # Single-vector degenerate tree: no pair heaps exist, so account the
-        # leaf cursor as a one-entry frontier to keep occupancy reporting total.
+    root = _build(sources, 0, len(sources), counters)
+    if not isinstance(root, PairNode):
+        # Single-source degenerate tree: no pair heaps exist, so account the
+        # source's cursor as a one-entry frontier to keep occupancy reporting total.
         counters.peak_fringe_entries = 1
         counters.peak_entry_bytes_estimate = 2 * NUMBER_BYTES
     return CartesianSumTree(root, counters)
@@ -152,7 +160,7 @@ def build_tree(vectors) -> CartesianSumTree:
     Construction realizes exactly one value from each child of every node and
     seeds each fringe with the corner cell.
     """
-    return _tree(as_float_vectors(vectors))
+    return assemble_tree([LeafSource(a) for a in as_float_vectors(vectors)])
 
 
 def tree_top_k(vectors, k: int) -> TopKResult:
@@ -167,7 +175,7 @@ def tree_top_k(vectors, k: int) -> TopKResult:
     want = normalize_k(k, capacity(len(a) for a in axes))
     if want == 0:
         return TopKResult([], InstrumentationCounters())
-    tree = _tree(axes)
+    tree = assemble_tree([LeafSource(a) for a in axes])
     # want never exceeds the cell count, so the root never runs dry here.
     items = [tree.root.pop_next() for _ in range(want)]
     return TopKResult(items, tree.counters)

@@ -1,10 +1,19 @@
+import bisect
 import math
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import summit.isotopes
 from summit import (
+    ElementSource,
     FormulaError,
     InputError,
+    Isotope,
+    IsotopeTable,
     builtin_isotope_table,
     expand_element,
     load_isotope_table,
@@ -188,8 +197,9 @@ class TestExpandElement:
         assert set(pruned.compositions) == kept
 
     def test_negative_prune_delta_rejected(self):
-        with pytest.raises(InputError):
-            expand_element("C", 2, prune_delta=-1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(InputError):
+                expand_element("C", 2, prune_delta=bad)
 
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
@@ -259,3 +269,165 @@ class TestTopPeaks:
         assert sorted(p.abundance for p in a) == pytest.approx(
             sorted(p.abundance for p in b), rel=1e-9
         )
+
+
+# Exact ties everywhere: 0.5/0.5, 1/3 each and 1/6 each. At 8 atoms of Cc,
+# a walk without rounding slack emits two tied compositions an ulp out of
+# order.
+TIE_TABLE = IsotopeTable({
+    "Aa": [Isotope(1.0, 0.5), Isotope(2.0, 0.5)],
+    "Bb": [Isotope(1.0, 1 / 3), Isotope(2.0, 1 / 3), Isotope(3.0, 1 / 3)],
+    "Cc": [Isotope(float(mass), 1 / 6) for mass in range(1, 7)],
+})
+
+FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
+
+
+def drain_against_enumeration(symbol, count, table, prune_delta=None):
+    """Pop an ElementSource dry and compare it with expand_element."""
+    e = len(table[symbol])
+    naive = expand_element(symbol, count, table, prune_delta)
+    expected = sorted(naive.log_abundances, reverse=True)
+    ascending = sorted(expand_element(symbol, count, table).log_abundances)
+    source = ElementSource(symbol, count, table, prune_delta)
+    values = []
+    while (item := source.pop_next()) is not None:
+        assert item.indices == (len(values),)
+        values.append(item.value)
+        # Laziness: the walk computes at most e(e-1) neighbours of each
+        # composition it explores. It explores those it has emitted, plus
+        # any tied with the last one within rounding, which it must look
+        # past to stay exact.
+        explored = len(ascending) - bisect.bisect_left(ascending, values[-1] - 1e-9)
+        assert len(source._seen) <= e * (e - 1) * explored + 1
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    assert values == expected  # bit-identical, not merely close
+    assert set(source.compositions) == set(naive.compositions)
+    assert len(source) == len(naive)
+    naive_mass = dict(zip(naive.compositions, naive.masses))
+    assert all(naive_mass[comp] == mass
+               for comp, mass in zip(source.compositions, source.masses))
+
+
+class TestElementSource:
+    @pytest.mark.parametrize("symbol", builtin_isotope_table().symbols())
+    def test_builtin_elements_match_full_enumeration(self, symbol):
+        table = builtin_isotope_table()
+        for count in range(1, 31):
+            for prune_delta in (None, 0.0, 4.0):
+                drain_against_enumeration(symbol, count, table, prune_delta)
+
+    @pytest.mark.parametrize("symbol,max_count", [("Aa", 60), ("Bb", 60), ("Cc", 10)])
+    def test_tied_abundances_match_full_enumeration(self, symbol, max_count):
+        for count in range(1, max_count + 1):
+            for prune_delta in (None, 0.0, 3.0):
+                drain_against_enumeration(symbol, count, TIE_TABLE, prune_delta)
+
+    def test_single_isotope_element(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("F\t18.99840322\t1.0\n")
+        source = ElementSource("F", 9, load_isotope_table(path))
+        assert source.pop_next().value == 0.0
+        assert source.pop_next() is None
+        assert source.compositions == [(9,)]
+
+    def test_bad_count_and_prune_delta_rejected(self):
+        with pytest.raises(InputError):
+            ElementSource("C", 0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(InputError):
+                ElementSource("C", 2, prune_delta=bad)
+        with pytest.raises(InputError, match="Xq"):
+            ElementSource("Xq", 2)
+
+
+def naive_top_peaks(formula, k, prune_delta=None):
+    expanded = [expand_element(symbol, count, prune_delta=prune_delta)
+                for symbol, count in parse_formula(formula)]
+    result = tree_top_k([vec.log_abundances for vec in expanded], k)
+    return peaks_from_items(expanded, result.items)
+
+
+def rederive(formula, peak):
+    """Log abundance and mass of a peak, recomputed from its configuration."""
+    table = builtin_isotope_table()
+    log_p = mass = 0.0
+    for (symbol, count), comp in zip(parse_formula(formula), peak.configuration):
+        assert sum(comp) == count
+        log_p += math.lgamma(count + 1)
+        for iso, n in zip(table[symbol], comp):
+            log_p += n * math.log(iso.abundance) - math.lgamma(n + 1)
+            mass += n * iso.mass
+    return log_p, mass
+
+
+formulas = st.lists(
+    st.tuples(st.sampled_from(builtin_isotope_table().symbols()), st.integers(1, 40)),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda pair: pair[0],
+).map(lambda pairs: "".join(f"{symbol}{count}" for symbol, count in pairs))
+
+
+@settings(max_examples=200)
+@given(formulas, st.integers(1, 600), st.one_of(st.none(), st.floats(0.0, 20.0)))
+def test_top_peaks_matches_naive_path(formula, k, prune_delta):
+    lazy = top_peaks(formula, k, prune_delta=prune_delta)
+    naive = naive_top_peaks(formula, k, prune_delta)
+    assert [p.log_abundance for p in lazy] == [p.log_abundance for p in naive]
+    naive_mass = {p.configuration: p.mass for p in naive}
+    for peak in lazy:
+        if peak.configuration in naive_mass:
+            assert math.isclose(peak.mass, naive_mass[peak.configuration], rel_tol=1e-9)
+    if lazy:
+        # Peaks tied with the last one may be different cells of equal value.
+        cut = lazy[-1].log_abundance
+        assert (Counter(p.configuration for p in lazy if p.log_abundance > cut)
+                == Counter(p.configuration for p in naive if p.log_abundance > cut))
+
+
+def test_huge_element_no_longer_hits_the_cap():
+    with pytest.raises(InputError, match="cap"):
+        expand_element("S", 10000)
+    start = time.perf_counter()
+    peaks = top_peaks("S10000", 5)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"S10000 took {elapsed:.2f}s"
+    assert len(peaks) == 5
+    assert all(a.log_abundance >= b.log_abundance for a, b in zip(peaks, peaks[1:]))
+    for peak in peaks:
+        log_p, mass = rederive("S10000", peak)
+        assert math.isclose(peak.log_abundance, log_p, rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(peak.mass, mass, rel_tol=1e-12)
+
+
+def test_counts_beyond_float_resolution_refused(monkeypatch):
+    # Near 2**31 atoms of S, the rounding error of a log abundance exceeds
+    # the spacing between compositions near the mode, so ordering them
+    # exactly would mean exploring millions of near-ties.
+    monkeypatch.setattr(summit.isotopes, "LOOKAHEAD_CAP", 2000)
+    with pytest.raises(InputError, match="S with 2147483647 atoms.*too close to order"):
+        top_peaks("S2147483647", 1)
+    # Two isotopes at the same count leave few near-ties.
+    peaks = top_peaks("C2147483647", 3)
+    assert all(a.log_abundance >= b.log_abundance for a, b in zip(peaks, peaks[1:]))
+
+
+def test_fake_compound_matches_naive_path():
+    start = time.perf_counter()
+    peaks = top_peaks(FAKE_COMPOUND, 512)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.25, f"lazy top_peaks took {elapsed:.3f}s"
+    naive = naive_top_peaks(FAKE_COMPOUND, 512)
+    assert [p.log_abundance for p in peaks] == [p.log_abundance for p in naive]
+
+
+@pytest.mark.parametrize("symbol,count", [("C", 20), ("Ne", 20), ("S", 10)])
+def test_prune_floor_just_above_an_entry(symbol, count):
+    # A floor a hair above an entry, closer than the walk's rounding slack:
+    # the entry must still be left out.
+    values = sorted(set(expand_element(symbol, count).log_abundances), reverse=True)
+    for v in values[1:6]:
+        prune_delta = (values[0] - v) * (1 - 1e-12)
+        assert values[0] - prune_delta > v
+        drain_against_enumeration(symbol, count, builtin_isotope_table(), prune_delta)

@@ -9,6 +9,7 @@ from summit import (
     InputError,
     LeafSource,
     PairNode,
+    SumOverflowError,
     brute_force_top_k,
     build_tree,
     generate_instance,
@@ -146,6 +147,19 @@ def test_negative_k_rejected():
 def test_non_integer_k_rejected(engine, bad):
     with pytest.raises(InputError):
         engine([[1.0, 2.0], [3.0]], bad)
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+def test_sum_overflow_is_one_named_error(engine):
+    with pytest.raises(SumOverflowError, match="^Cartesian sum overflowed the float range$"):
+        engine([[1e308], [1e308]], 1)
+
+
+def test_partial_sum_overflow_in_a_pair_node():
+    # The left pair node adds the first two vectors; its sum overflows even
+    # though the third vector is small.
+    with pytest.raises(SumOverflowError, match="^Cartesian sum overflowed the float range$"):
+        tree_top_k([[1e308, 0.0], [1e308], [1.0]], 1)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
