@@ -7,7 +7,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,9 +32,12 @@ class SumOverflowError(InputError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class IndexedValue:
-    """One Cartesian-sum value and the original-index tuple that produced it."""
+class IndexedValue(NamedTuple):
+    """One Cartesian-sum value and the original-index tuple that produced it.
+
+    A tuple, so hot paths build it with ``tuple.__new__(IndexedValue, (value,
+    indices))`` and skip the generated ``__new__``.
+    """
 
     value: float
     indices: tuple[int, ...]

@@ -21,7 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .core import IndexedValue, InputError, normalize_k
+from .core import CAPACITY_LIMIT, IndexedValue, InputError, normalize_k
 from .tree import assemble_tree
 from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
 
@@ -469,8 +469,8 @@ def top_peaks_of_counts(
     prune_delta: float | None = None,
 ) -> list[Peak]:
     """top_peaks for an already parsed formula: (symbol, count) pairs."""
-    if normalize_k(k, 1) < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    # The root running dry bounds k, so only validate it; k=0 gives [].
+    k = normalize_k(k, CAPACITY_LIMIT)
     tbl = builtin_isotope_table() if table is None else table
     sources = [ElementSource(symbol, count, tbl, prune_delta) for symbol, count in counts]
     root = assemble_tree(sources).root

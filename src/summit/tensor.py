@@ -9,6 +9,8 @@ each cell from entering the frontier twice.
 
 from __future__ import annotations
 
+from operator import getitem
+
 from .core import (
     NUMBER_BYTES,
     IndexedValue,
@@ -18,16 +20,19 @@ from .core import (
     as_float_vectors,
     capacity,
     normalize_k,
-    sort_descending,
 )
+from .tree import LeafSource
+
+_new_tuple = tuple.__new__
 
 
 def tensor_top_k(vectors, k: int) -> TopKResult:
     """Top k values of X1 + X2 + ... + Xm with their original index tuples.
 
-    Accepts unsorted vectors (each axis is sorted non-increasing internally)
-    and clamps k to the number of cells. Returned values are non-increasing;
-    index tuples refer to positions in the vectors as given.
+    Accepts unsorted vectors (each axis is served non-increasing by the tree
+    engine's layered LeafSource) and clamps k to the number of cells.
+    Returned values are non-increasing; index tuples refer to positions in
+    the vectors as given.
     """
     axes = as_float_vectors(vectors)
     want = normalize_k(k, capacity(len(a) for a in axes))
@@ -36,13 +41,10 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
         return TopKResult([], counters)
 
     m = len(axes)
-    sorted_axes = []
-    perms = []
-    for arr in axes:
-        values, perm = sort_descending(arr)
-        sorted_axes.append(values)
-        perms.append(perm)
-    lengths = [len(a) for a in sorted_axes]
+    leaves = [LeafSource(arr) for arr in axes]
+    # The leaves extend these lists in place as they grow.
+    sorted_axes = [leaf.sorted_values for leaf in leaves]
+    perms = [leaf.permutation for leaf in leaves]
 
     fringe = MaxIndexHeap(counters, entry_bytes=(1 + m) * NUMBER_BYTES)
     origin = (0,) * m
@@ -53,10 +55,10 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
     items: list[IndexedValue] = []
     while len(items) < want:
         value, pos = fringe.pop_max()
-        items.append(IndexedValue(value, tuple(perms[d][pos[d]] for d in dims)))
+        items.append(_new_tuple(IndexedValue, (value, tuple(map(getitem, perms, pos)))))
         for d in dims:
             nxt = pos[d] + 1
-            if nxt == lengths[d]:
+            if nxt == len(sorted_axes[d]) and not leaves[d].grow():
                 continue
             succ = pos[:d] + (nxt,) + pos[d + 1 :]
             if succ in visited:
@@ -64,5 +66,5 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
             visited.add(succ)
             # Keys are summed fresh per cell (not updated incrementally), so a
             # reported value is bit-identical to re-adding its entries.
-            fringe.push(sum(axis[p] for axis, p in zip(sorted_axes, succ)), succ)
+            fringe.push(sum(map(getitem, sorted_axes, succ)), succ)
     return TopKResult(items, counters)

@@ -10,6 +10,8 @@ and the root serves the full m-vector sum one value at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import isfinite
 from typing import Iterator, Protocol
 
 import numpy as np
@@ -18,7 +20,7 @@ from .core import (
     NUMBER_BYTES,
     IndexedValue,
     InstrumentationCounters,
-    MaxIndexHeap,
+    SumOverflowError,
     TopKResult,
     as_float_vectors,
     capacity,
@@ -33,80 +35,164 @@ class Source(Protocol):
     def pop_next(self) -> IndexedValue | None: ...
 
 
+# A vector of at most FIRST_LAYER entries is sorted whole. A longer one is
+# served in layers: each time the served prefix runs out it grows to
+# FIRST_LAYER + LAYER_GROWTH * (its length), so the entries sorted stay
+# within FIRST_LAYER + LAYER_GROWTH * (entries served).
+FIRST_LAYER = 256
+LAYER_GROWTH = 4
+# Fringe entry price of a pair node: the key plus the (row, column) pair.
+PAIR_ENTRY_BYTES = 3 * NUMBER_BYTES
+
+_new_tuple = tuple.__new__
+
+
 class LeafSource:
     """Serves one input vector's values in non-increasing order.
 
-    A pre-sorted array with a cursor satisfies the same pop-next contract as
-    any heap-like source, and makes the permutation back to original indices
-    trivial.
+    ``sorted_values`` and ``permutation`` (to original indices) hold the
+    sorted prefix served so far, in the order a stable full sort would give;
+    ``grow`` extends both lists in place by the next layer. Each layer holds
+    the largest entries not yet served, ties going to lower original indices,
+    and only the layer is sorted, so a consumer that reads a few entries of a
+    long vector never pays for sorting the rest (the layer-ordered heaps of
+    Serang, arXiv:1910.11993).
     """
 
-    __slots__ = ("sorted_values", "permutation", "cursor")
+    __slots__ = ("sorted_values", "permutation", "cursor", "_rest", "_rest_index")
 
     def __init__(self, arr: np.ndarray):
-        self.sorted_values, self.permutation = sort_descending(arr)
+        self.sorted_values: list[float] = []
+        self.permutation: list[int] = []
         self.cursor = 0
+        # Entries not yet served (None once all are) and their original
+        # indices (None while they are all of arr, in order).
+        self._rest: np.ndarray | None = arr
+        self._rest_index: np.ndarray | None = None
+        self.grow()
+
+    def grow(self) -> bool:
+        """Append the next layer to the served prefix; False once none is left."""
+        rest, index = self._rest, self._rest_index
+        if rest is None:
+            return False
+        size = FIRST_LAYER + (LAYER_GROWTH - 1) * len(self.sorted_values)
+        if size < len(rest):
+            cut = np.partition(rest, len(rest) - size)[len(rest) - size]
+            take = rest > cut
+            take[np.flatnonzero(rest == cut)[: size - np.count_nonzero(take)]] = True
+            keep = ~take
+            self._rest = rest[keep]
+            self._rest_index = np.flatnonzero(keep) if index is None else index[keep]
+            rest = rest[take]
+            index = np.flatnonzero(take) if index is None else index[take]
+        else:
+            self._rest = self._rest_index = None
+        # The layer is in ascending original index order, so the stable sort
+        # keeps ties in that order, as across the layer boundaries.
+        values, order = sort_descending(rest)
+        self.sorted_values += values
+        self.permutation += order if index is None else index[order].tolist()
+        return True
 
     def pop_next(self) -> IndexedValue | None:
-        if self.cursor == len(self.sorted_values):
-            return None
         p = self.cursor
+        if p == len(self.sorted_values) and not self.grow():
+            return None
         self.cursor = p + 1
-        return IndexedValue(self.sorted_values[p], (self.permutation[p],))
+        return _new_tuple(IndexedValue, (self.sorted_values[p], (self.permutation[p],)))
 
 
 class PairNode:
     """Lazy heap over the Cartesian sum of two child sources.
 
-    Values popped from the children accumulate in append-only margins; the
-    fringe holds (row, column) coordinates into those margins, keyed by the
-    pair sum. Popping (i, j) pushes (i+1, j) always and (i, j+1) only from
-    row zero, which covers every cell exactly once with no visited set. A
-    child is only consulted when a successor references a margin entry that
-    does not exist yet, so realized-per-child never exceeds pops + 1.
+    Values popped from the children accumulate in append-only margins:
+    ``left_values``/``right_values`` hold the values and
+    ``realized_left``/``realized_right`` the index tuples. The fringe is a
+    ``heapq`` list of ``(-sum, seq, row, column)`` entries into those
+    margins, with the shared counters' push number as ``seq``, so ties pop
+    in insertion order as in MaxIndexHeap. Popping (i, j) pushes (i+1, j)
+    always and (i, j+1) only from row zero, which covers every cell exactly
+    once with no visited set. A child is only consulted when a successor
+    references a margin entry that does not exist yet, so realized-per-child
+    never exceeds pops + 1.
     """
 
-    __slots__ = ("left", "right", "realized_left", "realized_right", "fringe", "pops")
+    __slots__ = ("left", "right", "left_values", "right_values", "realized_left",
+                 "realized_right", "fringe", "pops", "_counters")
 
     def __init__(self, left: Source, right: Source, counters: InstrumentationCounters):
         self.left = left
         self.right = right
-        self.realized_left: list[IndexedValue] = []
-        self.realized_right: list[IndexedValue] = []
-        self.fringe = MaxIndexHeap(counters, entry_bytes=3 * NUMBER_BYTES)
+        self.left_values: list[float] = []
+        self.right_values: list[float] = []
+        self.realized_left: list[tuple[int, ...]] = []
+        self.realized_right: list[tuple[int, ...]] = []
         self.pops = 0
+        self._counters = counters
         # Children are nonempty by the input contract, so the corner cell
         # always exists.
-        self._push_cell(0, 0)
-
-    def _realize(self, margin: list[IndexedValue], child: Source) -> bool:
-        nxt = child.pop_next()
-        if nxt is None:
-            return False
-        margin.append(nxt)
-        return True
-
-    def _push_cell(self, i: int, j: int) -> None:
-        if i == len(self.realized_left) and not self._realize(self.realized_left, self.left):
-            return
-        if j == len(self.realized_right) and not self._realize(self.realized_right, self.right):
-            return
-        self.fringe.push(
-            self.realized_left[i].value + self.realized_right[j].value, (i, j)
-        )
+        _realize(left, self.left_values, self.realized_left)
+        _realize(right, self.right_values, self.realized_right)
+        key = self.left_values[0] + self.right_values[0]
+        if not isfinite(key):
+            raise SumOverflowError()
+        counters.on_push(PAIR_ENTRY_BYTES)
+        self.fringe = [(-key, counters.heap_pushes, 0, 0)]
 
     def pop_next(self) -> IndexedValue | None:
-        if not len(self.fringe):
+        fringe = self.fringe
+        if not fringe:
             return None
-        value, (i, j) = self.fringe.pop_max()
+        neg_key, _, i, j = heappop(fringe)
+        c = self._counters
+        c.heap_pops += 1
+        c.live_entries -= 1
+        c.live_bytes -= PAIR_ENTRY_BYTES
         self.pops += 1
-        item = IndexedValue(
-            value, self.realized_left[i].indices + self.realized_right[j].indices
-        )
-        self._push_cell(i + 1, j)
-        if i == 0:
-            self._push_cell(i, j + 1)
+        item = _new_tuple(IndexedValue,
+                          (-neg_key, self.realized_left[i] + self.realized_right[j]))
+        # The successors, (i+1, j) and then (0, j+1) from row zero, are
+        # pushed inline: this is the engine's hot path.
+        lv, rv = self.left_values, self.right_values
+        i += 1
+        if i < len(lv) or _realize(self.left, lv, self.realized_left):
+            key = lv[i] + rv[j]
+            if not isfinite(key):
+                raise SumOverflowError()
+            c.heap_pushes += 1
+            heappush(fringe, (-key, c.heap_pushes, i, j))
+            c.live_entries += 1
+            c.live_bytes += PAIR_ENTRY_BYTES
+            if c.live_entries > c.peak_fringe_entries:
+                c.peak_fringe_entries = c.live_entries
+            if c.live_bytes > c.peak_entry_bytes_estimate:
+                c.peak_entry_bytes_estimate = c.live_bytes
+        if i == 1:
+            j += 1
+            if j < len(rv) or _realize(self.right, rv, self.realized_right):
+                key = lv[0] + rv[j]
+                if not isfinite(key):
+                    raise SumOverflowError()
+                c.heap_pushes += 1
+                heappush(fringe, (-key, c.heap_pushes, 0, j))
+                c.live_entries += 1
+                c.live_bytes += PAIR_ENTRY_BYTES
+                if c.live_entries > c.peak_fringe_entries:
+                    c.peak_fringe_entries = c.live_entries
+                if c.live_bytes > c.peak_entry_bytes_estimate:
+                    c.peak_entry_bytes_estimate = c.live_bytes
         return item
+
+
+def _realize(child: Source, values: list[float], indices: list[tuple[int, ...]]) -> bool:
+    """Append the child's next entry to a margin; False once the child is dry."""
+    nxt = child.pop_next()
+    if nxt is None:
+        return False
+    values.append(nxt[0])
+    indices.append(nxt[1])
+    return True
 
 
 @dataclass

@@ -247,9 +247,12 @@ class TestTopPeaks:
     def test_k_clamped_to_configuration_count(self):
         assert len(top_peaks("C2", 50)) == 3
 
-    def test_k_below_one_rejected(self):
+    def test_k_zero_gives_no_peaks(self):
+        assert top_peaks("C3H8", 0) == []
+
+    def test_negative_k_rejected(self):
         with pytest.raises(InputError):
-            top_peaks("C3H8", 0)
+            top_peaks("C3H8", -1)
 
     @pytest.mark.parametrize("bad", ["5", True, 2.0])
     def test_non_integer_k_rejected(self, bad):

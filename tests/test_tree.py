@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from summit import (
     tensor_top_k,
     tree_top_k,
 )
+from summit.core import sort_descending
+from summit.tree import FIRST_LAYER, LAYER_GROWTH
 
 from helpers import assert_values_match, assert_well_formed, check_tree_laziness, tree_depth
 
@@ -197,3 +200,87 @@ def test_oracle_equivalence(vectors, data):
     result = tree_top_k(vectors, k)
     assert_values_match(result.values, expected.values)
     assert_well_formed(vectors, result, k)
+
+
+LEAF_SIZES = (1, FIRST_LAYER - 1, FIRST_LAYER, FIRST_LAYER + 1, 4 * FIRST_LAYER + 3, 20000)
+
+
+def leaf_input(kind, n, seed):
+    rnd = random.Random(seed)
+    if kind == "distinct":
+        values = [rnd.uniform(-5, 5) for _ in range(n)]
+    elif kind == "ties":
+        values = [float(rnd.randint(0, 2)) for _ in range(n)]
+    else:  # signed zeros among ties
+        values = [rnd.choice((0.0, -0.0, 1.0, -1.0)) for _ in range(n)]
+    return np.array(values)
+
+
+@pytest.mark.parametrize("kind", ["distinct", "ties", "signed_zeros"])
+@pytest.mark.parametrize("n", LEAF_SIZES)
+def test_layered_leaf_equals_full_sort(kind, n):
+    arr = leaf_input(kind, n, seed=n)
+    leaf = LeafSource(arr)
+    while leaf.pop_next() is not None:
+        assert len(leaf.sorted_values) <= FIRST_LAYER + LAYER_GROWTH * leaf.cursor
+    assert leaf.cursor == n
+    values, permutation = sort_descending(arr)
+    # repr tells -0.0 from 0.0, which == does not.
+    assert list(map(repr, leaf.sorted_values)) == list(map(repr, values))
+    assert leaf.permutation == permutation
+
+
+def test_engines_agree_on_long_tied_vectors():
+    vectors = [leaf_input("ties", 700, seed=d).tolist() for d in range(2)] + [
+        leaf_input("signed_zeros", 300, seed=2).tolist()]
+    for k in (1, 300, 3000):
+        tree = tree_top_k(vectors, k)
+        tensor = tensor_top_k(vectors, k)
+        assert tree.values == tensor.values
+        assert_well_formed(vectors, tree, k)
+        assert_well_formed(vectors, tensor, k)
+
+
+# (m, n, seed) -> {(engine, k): (heap_pushes, heap_pops, peak_fringe_entries,
+# peak_entry_bytes_estimate, live_entries)}, as first reported by the engines
+# before the layered leaves and the heapq pair-node fringe. k runs over 1, n
+# and every cell (2000 where the cells are more than 100,000).
+PINNED_COUNTERS = {
+    (1, 7, 1): {("tree", 1): (0, 0, 1, 16, 0), ("tensor", 1): (2, 1, 1, 16, 1),
+                ("tree", 7): (0, 0, 1, 16, 0), ("tensor", 7): (7, 7, 1, 16, 0)},
+    (1, 1000, 11): {("tree", 1): (0, 0, 1, 16, 0), ("tensor", 1): (2, 1, 1, 16, 1),
+                    ("tree", 1000): (0, 0, 1, 16, 0),
+                    ("tensor", 1000): (1000, 1000, 1, 16, 0)},
+    (2, 6, 2): {("tree", 1): (3, 1, 2, 48, 2), ("tensor", 1): (3, 1, 2, 48, 2),
+                ("tree", 6): (9, 6, 3, 72, 3), ("tensor", 6): (11, 6, 5, 120, 5),
+                ("tree", 36): (36, 36, 5, 120, 0), ("tensor", 36): (36, 36, 7, 168, 0)},
+    (2, 300, 12): {("tree", 1): (3, 1, 2, 48, 2), ("tensor", 1): (3, 1, 2, 48, 2),
+                   ("tree", 300): (326, 300, 26, 624, 26),
+                   ("tensor", 300): (339, 300, 39, 936, 39),
+                   ("tree", 90000): (90000, 90000, 300, 7200, 0)},
+    (3, 5, 3): {("tree", 1): (8, 3, 5, 120, 5), ("tensor", 1): (4, 1, 3, 96, 3),
+                ("tree", 5): (16, 11, 5, 120, 5), ("tensor", 5): (14, 5, 9, 288, 9),
+                ("tree", 125): (150, 150, 8, 192, 0),
+                ("tensor", 125): (125, 125, 29, 928, 0)},
+    (8, 3, 8): {("tree", 1): (34, 15, 19, 456, 19), ("tensor", 1): (9, 1, 8, 576, 8),
+                ("tree", 3): (41, 21, 20, 480, 20), ("tensor", 3): (24, 3, 21, 1512, 21),
+                ("tree", 6561): (6759, 6759, 83, 1992, 0),
+                ("tensor", 6561): (6561, 6561, 1971, 141912, 0)},
+    (64, 3, 64): {("tree", 1): (345, 173, 172, 4128, 172),
+                  ("tensor", 1): (65, 1, 64, 33280, 64),
+                  ("tree", 3): (362, 185, 177, 4248, 177),
+                  ("tensor", 3): (192, 3, 189, 98280, 189),
+                  ("tree", 2000): (3552, 2872, 680, 16320, 680)},
+}
+ENGINES = {"tree": tree_top_k, "tensor": tensor_top_k}
+
+
+@pytest.mark.parametrize("m,n,seed", list(PINNED_COUNTERS))
+def test_counters_pinned(m, n, seed):
+    vectors = generate_instance(m, n, seed)
+    for (engine, k), expected in PINNED_COUNTERS[(m, n, seed)].items():
+        c = ENGINES[engine](vectors, k).counters
+        got = (c.heap_pushes, c.heap_pops, c.peak_fringe_entries,
+               c.peak_entry_bytes_estimate, c.live_entries)
+        assert got == expected, (engine, k)
+        assert c.live_entries == c.heap_pushes - c.heap_pops
