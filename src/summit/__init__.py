@@ -16,7 +16,6 @@ from .core import (
     IndexedValue,
     InputError,
     InstrumentationCounters,
-    MaxIndexHeap,
     SumOverflowError,
     TopKResult,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "IsotopeTable",
     "IsotopologueVector",
     "LeafSource",
-    "MaxIndexHeap",
     "PairNode",
     "Peak",
     "SumOverflowError",

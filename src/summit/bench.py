@@ -49,29 +49,18 @@ def generate_instance(m: int, n: int, seed: int) -> list[list[float]]:
     return vectors
 
 
-def measure(
-    engine: Callable[..., TopKResult], vectors, k: int, repeats: int = 1
-) -> tuple[TopKResult, float]:
-    """Run engine(vectors, k); wall time is the minimum over `repeats` calls.
+def measure(engine: Callable[..., TopKResult], vectors, k: int) -> tuple[TopKResult, float]:
+    """Run engine(vectors, k) once; returns the result and its wall time.
 
     Only the engine call is timed; instance generation and any preprocessing
     done by the caller stay outside the clock.
     """
-    best = float("inf")
-    result: TopKResult | None = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = engine(vectors, k)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    assert result is not None
-    return result, best
+    start = time.perf_counter()
+    result = engine(vectors, k)
+    return result, time.perf_counter() - start
 
 
-def run_bench(
-    sizes: Sequence[int], methods: Sequence[str], seed: int, repeats: int = 1
-) -> list[dict]:
+def run_bench(sizes: Sequence[int], methods: Sequence[str], seed: int) -> list[dict]:
     """One row per (size, method): m vectors of length m, top m values.
 
     Counter columns are exact and deterministic for a fixed seed; only
@@ -84,7 +73,7 @@ def run_bench(
     for m in sizes:
         vectors = generate_instance(m, m, seed)
         for name in methods:
-            result, wall = measure(ENGINES[name], vectors, m, repeats=repeats)
+            result, wall = measure(ENGINES[name], vectors, m)
             c = result.counters
             rows.append(
                 {

@@ -1,13 +1,10 @@
-"""Shared primitives: the indexed max-heap, result types, input validation."""
+"""Shared primitives: heap counters, result types, input validation."""
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,73 +44,23 @@ class IndexedValue(NamedTuple):
 class InstrumentationCounters:
     """Exact heap-traffic accounting shared by every heap in one engine run.
 
-    ``live_entries`` / ``live_bytes`` track current simultaneous occupancy
-    across all attached heaps; the ``peak_*`` fields are their high-water
-    marks.
+    Every fringe entry of one run has the same price, ``entry_bytes``, which
+    the engine sets once, so the current occupancy and the byte estimate
+    follow from the three counts.
     """
 
     heap_pushes: int = 0
     heap_pops: int = 0
     peak_fringe_entries: int = 0
-    peak_entry_bytes_estimate: int = 0
-    live_entries: int = 0
-    live_bytes: int = 0
+    entry_bytes: int = 0
 
-    def on_push(self, entry_bytes: int) -> None:
-        self.heap_pushes += 1
-        self.live_entries += 1
-        self.live_bytes += entry_bytes
-        if self.live_entries > self.peak_fringe_entries:
-            self.peak_fringe_entries = self.live_entries
-        if self.live_bytes > self.peak_entry_bytes_estimate:
-            self.peak_entry_bytes_estimate = self.live_bytes
+    @property
+    def live_entries(self) -> int:
+        return self.heap_pushes - self.heap_pops
 
-    def on_pop(self, entry_bytes: int) -> None:
-        self.heap_pops += 1
-        self.live_entries -= 1
-        self.live_bytes -= entry_bytes
-
-
-class MaxIndexHeap:
-    """Binary max-heap of (key, payload) entries on ``heapq``.
-
-    Entries are stored as ``(-key, seq, payload)``: the per-heap sequence
-    number breaks key ties in insertion order, so payloads are never
-    compared. Keys must be finite: the engines push sums of finite inputs,
-    so a non-finite key means a sum overflowed, and push raises
-    SumOverflowError. Popping an empty heap is a usage error (IndexError),
-    unlike the domain errors raised for bad keys.
-    """
-
-    __slots__ = ("_entries", "_seq", "_counters", "_entry_bytes")
-
-    def __init__(
-        self,
-        counters: InstrumentationCounters | None = None,
-        entry_bytes: int = 2 * NUMBER_BYTES,
-    ):
-        self._entries: list[tuple[float, int, Any]] = []
-        self._seq = itertools.count()
-        self._counters = counters
-        self._entry_bytes = entry_bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def push(self, key: float, payload: Any = None) -> None:
-        if not math.isfinite(key):
-            raise SumOverflowError()
-        heapq.heappush(self._entries, (-key, next(self._seq), payload))
-        if self._counters is not None:
-            self._counters.on_push(self._entry_bytes)
-
-    def pop_max(self) -> tuple[float, Any]:
-        if not self._entries:
-            raise IndexError("pop from an empty MaxIndexHeap")
-        neg_key, _, payload = heapq.heappop(self._entries)
-        if self._counters is not None:
-            self._counters.on_pop(self._entry_bytes)
-        return -neg_key, payload
+    @property
+    def peak_entry_bytes_estimate(self) -> int:
+        return self.peak_fringe_entries * self.entry_bytes
 
 
 @dataclass

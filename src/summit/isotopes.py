@@ -213,7 +213,6 @@ def expand_element(
     count: int,
     table: IsotopeTable | None = None,
     prune_delta: float | None = None,
-    cap: int = EXPANSION_CAP,
 ) -> IsotopologueVector:
     """Multinomial expansion of one element: every composition gets a log
     probability (log-gamma multinomial coefficient plus per-isotope terms)
@@ -232,10 +231,10 @@ def expand_element(
         raise InputError(f"atom count must be >= 1, got {count}")
     e = len(isotopes)
     n_configs = math.comb(count + e - 1, e - 1)
-    if prune_delta is None and n_configs > cap:
+    if prune_delta is None and n_configs > EXPANSION_CAP:
         raise InputError(
             f"element {symbol} with {count} atoms expands to {n_configs} "
-            f"configurations (cap {cap}); set prune_delta to proceed"
+            f"configurations (cap {EXPANSION_CAP}); set prune_delta to proceed"
         )
 
     log_p = [math.log(iso.abundance) for iso in isotopes]

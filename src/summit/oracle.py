@@ -24,7 +24,7 @@ from .core import (
 ORACLE_CELL_CAP = 2_000_000
 
 
-def brute_force_top_k(vectors, k: int, cap: int = ORACLE_CELL_CAP) -> TopKResult:
+def brute_force_top_k(vectors, k: int) -> TopKResult:
     """Exact top-k of the Cartesian sum by full enumeration.
 
     Ties are ordered deterministically: value descending, then lexicographic
@@ -34,9 +34,9 @@ def brute_force_top_k(vectors, k: int, cap: int = ORACLE_CELL_CAP) -> TopKResult
     """
     axes = as_float_vectors(vectors)
     cells = capacity(len(a) for a in axes)
-    if cells > cap:
+    if cells > ORACLE_CELL_CAP:
         raise InputError(
-            f"instance too large for oracle: {cells} cells exceed cap {cap}"
+            f"instance too large for oracle: {cells} cells exceed cap {ORACLE_CELL_CAP}"
         )
     want = normalize_k(k, cells)
     counters = InstrumentationCounters()
@@ -64,5 +64,5 @@ def brute_force_top_k(vectors, k: int, cap: int = ORACLE_CELL_CAP) -> TopKResult
         for ix in order
     ]
     counters.peak_fringe_entries = cells
-    counters.peak_entry_bytes_estimate = cells * (1 + len(axes)) * NUMBER_BYTES
+    counters.entry_bytes = (1 + len(axes)) * NUMBER_BYTES
     return TopKResult(items, counters)

@@ -1,21 +1,25 @@
 """Flat m-dimensional engine: best-first expansion over the implicit sum tensor.
 
-The tensor of sums is never materialized. A max-heap holds the frontier of
-candidate position tuples; popping a tuple pushes its in-bounds, not yet seen
-successors, at most one per dimension. A cell is reachable from up to m
-predecessors, so an explicit visited set keyed on the position tuple keeps
-each cell from entering the frontier twice.
+The tensor of sums is never materialized. The frontier of candidate position
+tuples is a bare ``heapq`` list of ``(-sum, push number, position)``
+entries, so ties pop in push order and positions are never compared; popping
+a tuple pushes its in-bounds, not yet seen successors, at most one per
+dimension. A cell is reachable from up to m predecessors, so an explicit
+visited set keyed on the position tuple keeps each cell from entering the
+frontier twice.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from math import isfinite
 from operator import getitem
 
 from .core import (
     NUMBER_BYTES,
     IndexedValue,
     InstrumentationCounters,
-    MaxIndexHeap,
+    SumOverflowError,
     TopKResult,
     as_float_vectors,
     capacity,
@@ -36,9 +40,8 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
     """
     axes = as_float_vectors(vectors)
     want = normalize_k(k, capacity(len(a) for a in axes))
-    counters = InstrumentationCounters()
     if want == 0:
-        return TopKResult([], counters)
+        return TopKResult([], InstrumentationCounters())
 
     m = len(axes)
     leaves = [LeafSource(arr) for arr in axes]
@@ -46,16 +49,22 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
     sorted_axes = [leaf.sorted_values for leaf in leaves]
     perms = [leaf.permutation for leaf in leaves]
 
-    fringe = MaxIndexHeap(counters, entry_bytes=(1 + m) * NUMBER_BYTES)
     origin = (0,) * m
-    fringe.push(sum(axis[0] for axis in sorted_axes), origin)
+    key = sum(axis[0] for axis in sorted_axes)
+    if not isfinite(key):
+        raise SumOverflowError()
+    # Every visited cell is pushed exactly once, so len(visited) is the run's
+    # push count and numbers each entry; the fringe only grows between pops,
+    # so its peak is taken once per pop.
+    fringe = [(-key, 1, origin)]
     visited = {origin}
+    peak = 1
 
     dims = range(m)
     items: list[IndexedValue] = []
     while len(items) < want:
-        value, pos = fringe.pop_max()
-        items.append(_new_tuple(IndexedValue, (value, tuple(map(getitem, perms, pos)))))
+        neg_key, _, pos = heappop(fringe)
+        items.append(_new_tuple(IndexedValue, (-neg_key, tuple(map(getitem, perms, pos)))))
         for d in dims:
             nxt = pos[d] + 1
             if nxt == len(sorted_axes[d]) and not leaves[d].grow():
@@ -66,5 +75,11 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
             visited.add(succ)
             # Keys are summed fresh per cell (not updated incrementally), so a
             # reported value is bit-identical to re-adding its entries.
-            fringe.push(sum(map(getitem, sorted_axes, succ)), succ)
+            key = sum(map(getitem, sorted_axes, succ))
+            if not isfinite(key):
+                raise SumOverflowError()
+            heappush(fringe, (-key, len(visited), succ))
+        if len(fringe) > peak:
+            peak = len(fringe)
+    counters = InstrumentationCounters(len(visited), len(items), peak, (1 + m) * NUMBER_BYTES)
     return TopKResult(items, counters)

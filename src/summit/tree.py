@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     NUMBER_BYTES,
     IndexedValue,
+    InputError,
     InstrumentationCounters,
     SumOverflowError,
     TopKResult,
@@ -111,9 +112,9 @@ class PairNode:
     ``realized_left``/``realized_right`` the index tuples. The fringe is a
     ``heapq`` list of ``(-sum, seq, row, column)`` entries into those
     margins, with the shared counters' push number as ``seq``, so ties pop
-    in insertion order as in MaxIndexHeap. Popping (i, j) pushes (i+1, j)
-    always and (i, j+1) only from row zero, which covers every cell exactly
-    once with no visited set. A child is only consulted when a successor
+    in push order and margin positions are never compared. Popping (i, j)
+    pushes (i+1, j) always and (i, j+1) only from row zero, which covers
+    every cell exactly once with no visited set. A child is only consulted when a successor
     references a margin entry that does not exist yet, so realized-per-child
     never exceeds pops + 1.
     """
@@ -137,8 +138,11 @@ class PairNode:
         key = self.left_values[0] + self.right_values[0]
         if not isfinite(key):
             raise SumOverflowError()
-        counters.on_push(PAIR_ENTRY_BYTES)
+        counters.heap_pushes += 1
         self.fringe = [(-key, counters.heap_pushes, 0, 0)]
+        live = counters.heap_pushes - counters.heap_pops
+        if live > counters.peak_fringe_entries:
+            counters.peak_fringe_entries = live
 
     def pop_next(self) -> IndexedValue | None:
         fringe = self.fringe
@@ -147,8 +151,6 @@ class PairNode:
         neg_key, _, i, j = heappop(fringe)
         c = self._counters
         c.heap_pops += 1
-        c.live_entries -= 1
-        c.live_bytes -= PAIR_ENTRY_BYTES
         self.pops += 1
         item = _new_tuple(IndexedValue,
                           (-neg_key, self.realized_left[i] + self.realized_right[j]))
@@ -162,12 +164,9 @@ class PairNode:
                 raise SumOverflowError()
             c.heap_pushes += 1
             heappush(fringe, (-key, c.heap_pushes, i, j))
-            c.live_entries += 1
-            c.live_bytes += PAIR_ENTRY_BYTES
-            if c.live_entries > c.peak_fringe_entries:
-                c.peak_fringe_entries = c.live_entries
-            if c.live_bytes > c.peak_entry_bytes_estimate:
-                c.peak_entry_bytes_estimate = c.live_bytes
+            live = c.heap_pushes - c.heap_pops
+            if live > c.peak_fringe_entries:
+                c.peak_fringe_entries = live
         if i == 1:
             j += 1
             if j < len(rv) or _realize(self.right, rv, self.realized_right):
@@ -176,12 +175,9 @@ class PairNode:
                     raise SumOverflowError()
                 c.heap_pushes += 1
                 heappush(fringe, (-key, c.heap_pushes, 0, j))
-                c.live_entries += 1
-                c.live_bytes += PAIR_ENTRY_BYTES
-                if c.live_entries > c.peak_fringe_entries:
-                    c.peak_fringe_entries = c.live_entries
-                if c.live_bytes > c.peak_entry_bytes_estimate:
-                    c.peak_entry_bytes_estimate = c.live_bytes
+                live = c.heap_pushes - c.heap_pops
+                if live > c.peak_fringe_entries:
+                    c.peak_fringe_entries = live
         return item
 
 
@@ -229,13 +225,15 @@ def assemble_tree(sources: list[Source]) -> CartesianSumTree:
 
     Sources are leaves in the order given; one source is the root itself.
     """
-    counters = InstrumentationCounters()
+    if not sources:
+        raise InputError("need at least one source")
+    counters = InstrumentationCounters(entry_bytes=PAIR_ENTRY_BYTES)
     root = _build(sources, 0, len(sources), counters)
     if not isinstance(root, PairNode):
         # Single-source degenerate tree: no pair heaps exist, so account the
         # source's cursor as a one-entry frontier to keep occupancy reporting total.
         counters.peak_fringe_entries = 1
-        counters.peak_entry_bytes_estimate = 2 * NUMBER_BYTES
+        counters.entry_bytes = 2 * NUMBER_BYTES
     return CartesianSumTree(root, counters)
 
 

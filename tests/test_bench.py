@@ -60,14 +60,6 @@ def test_measure_oracle_identity():
     assert wall > 0.0
 
 
-def test_measure_takes_min_over_repeats():
-    vectors = generate_instance(2, 2, seed=3)
-    _, single = measure(tree_top_k, vectors, 2, repeats=1)
-    _, best = measure(tree_top_k, vectors, 2, repeats=5)
-    assert best > 0.0
-    assert single > 0.0
-
-
 def test_engines_match_at_bench_scale():
     vectors = generate_instance(64, 64, seed=17)
     a, _ = measure(tensor_top_k, vectors, 64)

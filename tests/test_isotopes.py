@@ -23,6 +23,7 @@ from summit import (
     top_peaks,
     tree_top_k,
 )
+from summit.isotopes import top_peaks_of_counts
 
 
 class TestParseFormula:
@@ -182,12 +183,14 @@ class TestExpandElement:
             assert mass == sum(kj * mj for kj, mj in zip(comp, masses))
 
     def test_cap_names_the_element(self):
+        # 12,507,501 compositions, refused before any is enumerated.
         with pytest.raises(InputError, match="Ne"):
-            expand_element("Ne", 800, cap=1000)
+            expand_element("Ne", 5000)
 
-    def test_prune_delta_waives_cap_and_filters(self):
+    def test_prune_delta_waives_cap_and_filters(self, monkeypatch):
         full = expand_element("Ne", 50)
-        pruned = expand_element("Ne", 50, prune_delta=10.0, cap=10)
+        monkeypatch.setattr(summit.isotopes, "EXPANSION_CAP", 10)
+        pruned = expand_element("Ne", 50, prune_delta=10.0)
         assert 0 < len(pruned) < len(full)
         best = max(full.log_abundances)
         assert max(pruned.log_abundances) == best
@@ -249,6 +252,10 @@ class TestTopPeaks:
 
     def test_k_zero_gives_no_peaks(self):
         assert top_peaks("C3H8", 0) == []
+
+    def test_no_elements_rejected(self):
+        with pytest.raises(InputError, match="need at least one source"):
+            top_peaks_of_counts([], 3)
 
     def test_negative_k_rejected(self):
         with pytest.raises(InputError):

@@ -40,11 +40,6 @@ def test_cap_exceeded_is_explicit():
         brute_force_top_k(vectors, 1)
 
 
-def test_small_cap_override():
-    with pytest.raises(InputError):
-        brute_force_top_k([[1, 2], [3, 4]], 1, cap=3)
-
-
 @pytest.mark.parametrize(
     "bad",
     [[], [[]], [[1.0], []], [[1.0, float("nan")]], [[float("inf")]]],

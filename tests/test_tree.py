@@ -18,12 +18,16 @@ from summit import (
     tree_top_k,
 )
 from summit.core import sort_descending
-from summit.tree import FIRST_LAYER, LAYER_GROWTH
+from summit.tree import FIRST_LAYER, LAYER_GROWTH, assemble_tree
 
 from helpers import assert_values_match, assert_well_formed, check_tree_laziness, tree_depth
 
 
 class TestTopology:
+    def test_no_sources_rejected(self):
+        with pytest.raises(InputError, match="need at least one source"):
+            assemble_tree([])
+
     def test_single_vector_degenerates_to_leaf(self):
         tree = build_tree([[3, 1, 2]])
         assert isinstance(tree.root, LeafSource)
@@ -131,6 +135,14 @@ def test_single_vector_engine_run():
     assert result.counters.peak_fringe_entries == 1
 
 
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k])
+def test_single_cell_counts_its_only_entry(engine):
+    # The first push is the only one, so the peak must be taken there.
+    c = engine([[1.0], [2.0]], 1).counters
+    assert (c.heap_pushes, c.heap_pops, c.peak_fringe_entries,
+            c.peak_entry_bytes_estimate, c.live_entries) == (1, 1, 1, 24, 0)
+
+
 @pytest.mark.parametrize(
     "bad",
     [[], [[]], [[1.0], []], [[1.0, float("nan")]], [[float("inf")]]],
@@ -173,6 +185,35 @@ def test_build_then_pop_counters_match_engine(m):
         for _ in range(k):
             tree.pop_next()
         assert tree.counters == tree_top_k(vectors, k).counters
+
+
+# Equal sums pop in push order: these are the index tuples of every cell, in
+# the order each engine reported them when its fringe was a MaxIndexHeap.
+TIE_ORDERS = {
+    ((1.0, 1.0, 1.0), (0.0, 0.0)): {
+        "tree": [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)],
+        "tensor": [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)],
+    },
+    ((0.0,) * 3,) * 3: {
+        "tree": [(0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1), (0, 0, 2), (2, 0, 0),
+                 (0, 1, 1), (1, 0, 2), (1, 1, 0), (2, 0, 1), (0, 1, 2), (0, 2, 0), (1, 1, 1),
+                 (2, 0, 2), (2, 1, 0), (0, 2, 1), (1, 1, 2), (1, 2, 0), (2, 1, 1), (0, 2, 2),
+                 (2, 2, 0), (1, 2, 1), (2, 1, 2), (2, 2, 1), (1, 2, 2), (2, 2, 2)],
+        "tensor": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (1, 0, 1),
+                   (0, 2, 0), (0, 1, 1), (0, 0, 2), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
+                   (1, 0, 2), (0, 2, 1), (0, 1, 2), (2, 2, 0), (2, 1, 1), (2, 0, 2), (1, 2, 1),
+                   (1, 1, 2), (0, 2, 2), (2, 2, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2)],
+    },
+}
+
+
+@pytest.mark.parametrize("vectors", list(TIE_ORDERS))
+@pytest.mark.parametrize("engine", ["tree", "tensor"])
+def test_tie_order_pinned(vectors, engine):
+    expected = TIE_ORDERS[vectors][engine]
+    result = ENGINES[engine](vectors, len(expected))
+    assert result.index_tuples == expected
+    assert result.values == [sum(v[i] for v, i in zip(vectors, t)) for t in expected]
 
 
 def test_total_fringe_bounded_by_pops_plus_nodes():
