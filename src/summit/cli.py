@@ -12,12 +12,7 @@ import sys
 
 from .bench import ENGINES, run_bench
 from .core import InputError
-from .isotopes import (
-    builtin_isotope_table,
-    load_isotope_table,
-    parse_formula,
-    top_peaks_of_counts,
-)
+from .isotopes import builtin_isotope_table, load_isotope_table, parse_formula, top_peaks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,13 +50,6 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
@@ -103,8 +91,9 @@ def cmd_topk(args: argparse.Namespace) -> int:
 
 def cmd_isotopes(args: argparse.Namespace) -> int:
     table = load_isotope_table(args.data) if args.data else builtin_isotope_table()
+    # Parsed here too, for the config labels and to fail before any work.
     counts = parse_formula(args.formula, table)
-    peaks = top_peaks_of_counts(counts, args.k, table, args.prune_delta)
+    peaks = top_peaks(args.formula, args.k, table, args.prune_delta)
     out = sys.stdout
     for rank, peak in enumerate(peaks, 1):
         config = ";".join(
@@ -117,17 +106,11 @@ def cmd_isotopes(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     rows = run_bench(args.sizes, args.methods, seed=args.seed)
-    header = (
-        "m,n,k,method,wall_seconds,heap_pushes,heap_pops,"
-        "peak_fringe_entries,peak_entry_bytes_estimate"
-    )
-    lines = [header]
+    # run_bench's row keys are the CSV columns, in order.
+    lines = [",".join(rows[0])]
     for r in rows:
-        lines.append(
-            f"{r['m']},{r['n']},{r['k']},{r['method']},{r['wall_seconds']:.9f},"
-            f"{r['heap_pushes']},{r['heap_pops']},{r['peak_fringe_entries']},"
-            f"{r['peak_entry_bytes_estimate']}"
-        )
+        lines.append(",".join(f"{value:.9f}" if name == "wall_seconds" else str(value)
+                              for name, value in r.items()))
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -154,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_iso = sub.add_parser("isotopes", help="most abundant isotope peaks of a formula")
     p_iso.add_argument("--formula", required=True)
-    p_iso.add_argument("--k", required=True, type=_positive_int)
+    p_iso.add_argument("--k", required=True, type=_nonnegative_int)
     p_iso.add_argument("--data", default=None, help="isotope table TSV (default: built-in)")
     p_iso.add_argument("--prune-delta", type=float, default=None,
                        help="drop expansion entries more than this far below the best log abundance")

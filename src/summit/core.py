@@ -22,8 +22,15 @@ class InputError(ValueError):
 
 
 class SumOverflowError(InputError):
-    """A Cartesian sum of finite inputs left the float range; every engine
-    reports overflow with this error and its default message."""
+    """A Cartesian sum of finite inputs left the float range.
+
+    Every engine reports overflow with this error and its default message,
+    as soon as a sum that it computes overflows. The oracle computes every
+    cell, so it raises when any cell overflows. A heap engine computes the
+    cells it returns and the keys it pushes onto its frontier (for the tree,
+    also the partial sums in its pair nodes), so it can return the top
+    values of an instance whose lower cells overflow.
+    """
 
     def __init__(self, message: str = "Cartesian sum overflowed the float range"):
         super().__init__(message)

@@ -25,9 +25,8 @@ from .core import CAPACITY_LIMIT, IndexedValue, InputError, normalize_k
 from .tree import assemble_tree
 from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
 
-# Refuse naive expansion beyond this many configurations unless the caller
-# opts into pruning. ElementSource never enumerates, so the cap is
-# expand_element's alone.
+# Refuse naive expansion beyond this many configurations. ElementSource never
+# enumerates, so the cap is expand_element's alone.
 EXPANSION_CAP = 10_000_000
 
 # Most compositions an ElementSource may explore beyond those it has emitted.
@@ -72,38 +71,8 @@ class IsotopeTable:
         return sorted(self._elements)
 
 
-def _build_table(
-    rows: list[tuple[int, str, float, float]], source: str, renormalize: bool
-) -> IsotopeTable:
-    grouped: dict[str, list[tuple[int, Isotope]]] = {}
-    for lineno, symbol, mass, abundance in rows:
-        if mass <= 0:
-            raise InputError(f"{source}:{lineno}: isotope mass must be positive")
-        if not 0 < abundance <= 1:
-            raise InputError(f"{source}:{lineno}: abundance must be in (0, 1]")
-        bucket = grouped.setdefault(symbol, [])
-        if any(iso.mass == mass for _, iso in bucket):
-            raise InputError(f"{source}:{lineno}: duplicate isotope ({symbol}, {mass})")
-        bucket.append((lineno, Isotope(mass, abundance)))
-
-    elements: dict[str, list[Isotope]] = {}
-    for symbol, bucket in grouped.items():
-        isotopes = sorted((iso for _, iso in bucket), key=lambda iso: iso.mass)
-        total = sum(iso.abundance for iso in isotopes)
-        if abs(total - 1.0) > 1e-3:
-            if not renormalize:
-                raise InputError(
-                    f"{source}: abundances for {symbol} sum to {total:.6f}, not 1"
-                )
-            isotopes = [Isotope(iso.mass, iso.abundance / total) for iso in isotopes]
-        elements[symbol] = isotopes
-    if not elements:
-        raise InputError(f"{source}: no isotope rows found")
-    return IsotopeTable(elements)
-
-
 def _parse_tsv(text: str, source: str, renormalize: bool) -> IsotopeTable:
-    rows = []
+    elements: dict[str, list[Isotope]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -119,8 +88,27 @@ def _parse_tsv(text: str, source: str, renormalize: bool) -> IsotopeTable:
             abundance = float(fields[2])
         except ValueError:
             raise InputError(f"{source}:{lineno}: non-numeric mass or abundance") from None
-        rows.append((lineno, symbol, mass, abundance))
-    return _build_table(rows, source, renormalize)
+        if mass <= 0:
+            raise InputError(f"{source}:{lineno}: isotope mass must be positive")
+        if not 0 < abundance <= 1:
+            raise InputError(f"{source}:{lineno}: abundance must be in (0, 1]")
+        isotopes = elements.setdefault(symbol, [])
+        if any(iso.mass == mass for iso in isotopes):
+            raise InputError(f"{source}:{lineno}: duplicate isotope ({symbol}, {mass})")
+        isotopes.append(Isotope(mass, abundance))
+
+    for symbol, isotopes in elements.items():
+        isotopes.sort(key=lambda iso: iso.mass)
+        total = sum(iso.abundance for iso in isotopes)
+        if abs(total - 1.0) > 1e-3:
+            if not renormalize:
+                raise InputError(
+                    f"{source}: abundances for {symbol} sum to {total:.6f}, not 1"
+                )
+            elements[symbol] = [Isotope(iso.mass, iso.abundance / total) for iso in isotopes]
+    if not elements:
+        raise InputError(f"{source}: no isotope rows found")
+    return IsotopeTable(elements)
 
 
 def load_isotope_table(path: str | Path, renormalize: bool = False) -> IsotopeTable:
@@ -189,8 +177,6 @@ class IsotopologueVector:
     order, summing to count).
     """
 
-    symbol: str
-    count: int
     log_abundances: list[float]
     masses: list[float]
     compositions: list[tuple[int, ...]]
@@ -219,22 +205,24 @@ def expand_element(
     and a mass.
 
     This is the naive path, kept as the reference that ElementSource is
-    tested against: generation is full enumeration. With prune_delta set,
-    entries more than prune_delta below the best log abundance are dropped
-    afterwards and the cap is waived (enumeration time is still proportional
-    to the full count). Output order is unspecified; the selection engines
-    sort anyway.
+    tested against: generation is full enumeration, so EXPANSION_CAP holds
+    with or without prune_delta. With prune_delta set, entries more than
+    prune_delta below the best log abundance are dropped afterwards. Output
+    order is unspecified; the selection engines sort anyway.
     """
     tbl = builtin_isotope_table() if table is None else table
     isotopes = tbl[symbol]
     if count < 1:
         raise InputError(f"atom count must be >= 1, got {count}")
+    if prune_delta is not None and not prune_delta >= 0:  # NaN too
+        raise InputError(f"prune_delta must be >= 0, got {prune_delta}")
     e = len(isotopes)
     n_configs = math.comb(count + e - 1, e - 1)
-    if prune_delta is None and n_configs > EXPANSION_CAP:
+    if n_configs > EXPANSION_CAP:
         raise InputError(
             f"element {symbol} with {count} atoms expands to {n_configs} "
-            f"configurations (cap {EXPANSION_CAP}); set prune_delta to proceed"
+            f"configurations (cap {EXPANSION_CAP}); top_peaks and ElementSource "
+            "walk them lazily instead"
         )
 
     log_p = [math.log(iso.abundance) for iso in isotopes]
@@ -256,15 +244,13 @@ def expand_element(
         compositions.append(comp)
 
     if prune_delta is not None:
-        if not prune_delta >= 0:  # NaN too
-            raise InputError(f"prune_delta must be >= 0, got {prune_delta}")
         floor = max(log_abundances) - prune_delta
         keep = [t for t, la in enumerate(log_abundances) if la >= floor]
         log_abundances = [log_abundances[t] for t in keep]
         masses = [masses[t] for t in keep]
         compositions = [compositions[t] for t in keep]
 
-    return IsotopologueVector(symbol, count, log_abundances, masses, compositions)
+    return IsotopologueVector(log_abundances, masses, compositions)
 
 
 class ElementSource:
@@ -458,19 +444,9 @@ def top_peaks(
     come back in non-increasing abundance order.
     """
     tbl = builtin_isotope_table() if table is None else table
-    return top_peaks_of_counts(parse_formula(formula, tbl), k, tbl, prune_delta)
-
-
-def top_peaks_of_counts(
-    counts: list[tuple[str, int]],
-    k: int,
-    table: IsotopeTable | None = None,
-    prune_delta: float | None = None,
-) -> list[Peak]:
-    """top_peaks for an already parsed formula: (symbol, count) pairs."""
+    counts = parse_formula(formula, tbl)
     # The root running dry bounds k, so only validate it; k=0 gives [].
     k = normalize_k(k, CAPACITY_LIMIT)
-    tbl = builtin_isotope_table() if table is None else table
     sources = [ElementSource(symbol, count, tbl, prune_delta) for symbol, count in counts]
     root = assemble_tree(sources).root
     items = []

@@ -127,8 +127,9 @@ class TestIsotopes:
         assert code == 0
         assert len(out.splitlines()) == 3
 
-    def test_k_zero_exits_2(self):
-        assert run_cli(["isotopes", "--formula", "C3H8", "--k", "0"])[0] == 2
+    def test_k_zero_prints_no_rows(self):
+        # The same k contract as top_peaks(formula, 0) and `topk --k 0`.
+        assert run_cli(["isotopes", "--formula", "C3H8", "--k", "0"]) == (0, "", "")
 
 
 class TestBench:

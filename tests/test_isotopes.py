@@ -23,7 +23,6 @@ from summit import (
     top_peaks,
     tree_top_k,
 )
-from summit.isotopes import top_peaks_of_counts
 
 
 class TestParseFormula:
@@ -187,9 +186,8 @@ class TestExpandElement:
         with pytest.raises(InputError, match="Ne"):
             expand_element("Ne", 5000)
 
-    def test_prune_delta_waives_cap_and_filters(self, monkeypatch):
+    def test_prune_delta_filters_and_keeps_the_cap(self):
         full = expand_element("Ne", 50)
-        monkeypatch.setattr(summit.isotopes, "EXPANSION_CAP", 10)
         pruned = expand_element("Ne", 50, prune_delta=10.0)
         assert 0 < len(pruned) < len(full)
         best = max(full.log_abundances)
@@ -198,6 +196,15 @@ class TestExpandElement:
         kept = {comp for comp, la in zip(full.compositions, full.log_abundances)
                 if la >= best - 10.0}
         assert set(pruned.compositions) == kept
+        # About 1.7e11 compositions: refused before any is enumerated.
+        with pytest.raises(InputError, match="S with 10000 atoms.*cap"):
+            expand_element("S", 10000, prune_delta=1.0)
+
+    def test_prune_delta_checked_before_enumeration(self, monkeypatch):
+        # Any enumeration would now raise TypeError.
+        monkeypatch.setattr(summit.isotopes, "_compositions", None)
+        with pytest.raises(InputError, match="prune_delta must be >= 0"):
+            expand_element("C", 2, prune_delta=-1.0)
 
     def test_negative_prune_delta_rejected(self):
         for bad in (-1.0, float("nan")):
@@ -254,8 +261,14 @@ class TestTopPeaks:
         assert top_peaks("C3H8", 0) == []
 
     def test_no_elements_rejected(self):
-        with pytest.raises(InputError, match="need at least one source"):
-            top_peaks_of_counts([], 3)
+        with pytest.raises(FormulaError, match="empty formula"):
+            top_peaks("", 3)
+
+    def test_repeated_element_rejected(self):
+        # One element given twice would map one isotopologue to several peaks.
+        with pytest.raises(FormulaError, match="repeated element 'C'") as exc:
+            top_peaks("C3C2", 3)
+        assert exc.value.offset == 2
 
     def test_negative_k_rejected(self):
         with pytest.raises(InputError):

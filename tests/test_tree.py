@@ -170,6 +170,26 @@ def test_sum_overflow_is_one_named_error(engine):
         engine([[1e308], [1e308]], 1)
 
 
+# The oracle computes every cell; a heap engine only the cells it returns and
+# the frontier it pushes. At k=1 the heap engines return the top cell before
+# reaching the overflowing corner; at k=2 the tree returns [2.0, -1e308] while
+# the tensor has already pushed the corner, so k=2 is left unpinned.
+OVERFLOW_EDGE = [[1.0, -1e308], [1.0, -1e308]]
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k])
+def test_heap_engines_return_cells_short_of_the_overflow(engine):
+    assert engine(OVERFLOW_EDGE, 1).values == [2.0]
+    with pytest.raises(SumOverflowError):
+        brute_force_top_k(OVERFLOW_EDGE, 1)
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+def test_returning_an_overflowed_cell_raises(engine):
+    with pytest.raises(SumOverflowError, match="^Cartesian sum overflowed the float range$"):
+        engine(OVERFLOW_EDGE, 3)
+
+
 def test_partial_sum_overflow_in_a_pair_node():
     # The left pair node adds the first two vectors; its sum overflows even
     # though the third vector is small.
