@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-import numpy as np
+# numpy is imported inside the functions that call it. The isotope calculator
+# calls none of them, so `import summit` and `top_peaks` run without numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Saturation bound for the capacity product, so "give me everything" requests
 # stay cheap to clamp even when the true cell count is astronomically large.
@@ -92,15 +95,23 @@ class TopKResult:
 def as_float_vectors(vectors: Iterable[Sequence[float]]) -> list[np.ndarray]:
     """Validate the shared engine input contract and convert to float arrays.
 
-    Requires at least one vector, every vector nonempty, every entry finite.
+    Requires at least one vector, every vector nonempty, every entry a finite
+    real; text and complex entries are refused, not converted.
     """
+    import numpy as np
+
     vecs = list(vectors)
     if not vecs:
         raise InputError("need at least one input vector")
     out = []
     for d, vec in enumerate(vecs):
         try:
-            arr = np.asarray(vec, dtype=float)
+            arr = np.asarray(vec)
+            # Text and complex numbers are not reals, though the float cast
+            # would read "2" as 2.0 and drop an imaginary part.
+            if arr.dtype.kind in "USc":
+                raise TypeError
+            arr = arr.astype(float, copy=False)
         except (TypeError, ValueError):
             raise InputError(f"vector {d} is not a sequence of reals") from None
         if arr.ndim != 1:
@@ -145,5 +156,5 @@ def sort_descending(arr: np.ndarray) -> tuple[list[float], list[int]]:
 
     Stable on ties, so equal values keep ascending original index order.
     """
-    order = np.argsort(-arr, kind="stable")
+    order = (-arr).argsort(kind="stable")
     return arr[order].tolist(), order.tolist()

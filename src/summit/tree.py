@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import isfinite
-from typing import Iterator, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 from .core import (
     NUMBER_BYTES,
@@ -28,6 +26,9 @@ from .core import (
     normalize_k,
     sort_descending,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Source(Protocol):
@@ -74,6 +75,8 @@ class LeafSource:
 
     def grow(self) -> bool:
         """Append the next layer to the served prefix; False once none is left."""
+        import numpy as np
+
         rest, index = self._rest, self._rest_index
         if rest is None:
             return False

@@ -1,7 +1,11 @@
 import bisect
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -454,3 +458,29 @@ def test_prune_floor_just_above_an_entry(symbol, count):
         prune_delta = (values[0] - v) * (1 - 1e-12)
         assert values[0] - prune_delta > v
         drain_against_enumeration(symbol, count, builtin_isotope_table(), prune_delta)
+
+
+NUMPY_FREE_PATH = """
+import sys
+import summit
+from summit.cli import main
+summit.builtin_isotope_table()
+summit.top_peaks("C3H8", 3)
+assert main(["isotopes", "--formula", "C3H8", "--k", "3"]) == 0
+assert "numpy" not in sys.modules, "the isotope path loaded numpy"
+vectors = [[3.0, 1.0, 2.0], [4.0, 2.0]]
+runs = [engine(vectors, 4).items for engine in
+        (summit.tree_top_k, summit.tensor_top_k, summit.brute_force_top_k)]
+assert "numpy" in sys.modules
+assert runs[0] == runs[1] == runs[2], runs
+"""
+
+
+def test_isotope_path_loads_no_numpy():
+    # A fresh interpreter: this test process has numpy loaded already.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_PATH], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3

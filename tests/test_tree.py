@@ -165,6 +165,17 @@ def test_non_integer_k_rejected(engine, bad):
 
 
 @pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize(
+    "bad",
+    [[[3.0], ["1", "2"]], [[3.0], [1, "2"]], [[3.0], [b"1"]], [[3.0], np.array(["1"])],
+     [[3.0], [1 + 0j]], [[3.0], np.array([1 + 0j])]],
+)
+def test_text_and_complex_entries_rejected(engine, bad):
+    with pytest.raises(InputError, match="^vector 1 is not a sequence of reals$"):
+        engine(bad, 1)
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
 def test_sum_overflow_is_one_named_error(engine):
     with pytest.raises(SumOverflowError, match="^Cartesian sum overflowed the float range$"):
         engine([[1e308], [1e308]], 1)
