@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("--k", required=True, type=_nonnegative_int)
     p_iso.add_argument("--data", default=None, help="isotope table TSV (default: built-in)")
     p_iso.add_argument("--prune-delta", type=float, default=None,
-                       help="drop expansion entries more than this far below the best log abundance")
+                       help="stop each element's walk this far below its best log abundance")
     p_iso.set_defaults(func=cmd_isotopes)
 
     p_bench = sub.add_parser("bench", help="timing and counter CSV over synthetic instances")
@@ -158,10 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

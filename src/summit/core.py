@@ -88,15 +88,12 @@ class TopKResult:
     def index_tuples(self) -> list[tuple[int, ...]]:
         return [item.indices for item in self.items]
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 def as_float_vectors(vectors: Iterable[Sequence[float]]) -> list[np.ndarray]:
     """Validate the shared engine input contract and convert to float arrays.
 
     Requires at least one vector, every vector nonempty, every entry a finite
-    real; text and complex entries are refused, not converted.
+    real; text, dates and complex entries are refused, not converted.
     """
     import numpy as np
 
@@ -107,13 +104,23 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> list[np.ndarray]:
     for d, vec in enumerate(vecs):
         try:
             arr = np.asarray(vec)
-            # Text and complex numbers are not reals, though the float cast
-            # would read "2" as 2.0 and drop an imaginary part.
-            if arr.dtype.kind in "USc":
+            # Text, dates and complex numbers are not reals, though the float
+            # cast would read "2" as 2.0, a date as its day count and drop an
+            # imaginary part. An object array can hold any of them, so each of
+            # its entries must be a number; only that rare path imports numbers.
+            kind = arr.dtype.kind
+            if kind == "O":
+                from numbers import Number
+
+                if not all(isinstance(x, (Number, np.bool_)) for x in arr.flat):
+                    raise TypeError
+            elif kind in "USMmc":
                 raise TypeError
             arr = arr.astype(float, copy=False)
         except (TypeError, ValueError):
             raise InputError(f"vector {d} is not a sequence of reals") from None
+        except OverflowError:  # an int or Fraction beyond the float range
+            raise InputError(f"vector {d} contains a non-finite entry") from None
         if arr.ndim != 1:
             raise InputError(f"vector {d} is not one-dimensional")
         if arr.size == 0:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .core import CAPACITY_LIMIT, IndexedValue, InputError, normalize_k
-from .tree import assemble_tree
+from .core import IndexedValue, InputError
+from .tree import select
 from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
 
 # Refuse naive expansion beyond this many configurations. ElementSource never
@@ -36,6 +37,8 @@ EXPANSION_CAP = 10_000_000
 LOOKAHEAD_CAP = 100_000
 
 _MAX_COUNT = 2**31 - 1
+# One element run of a formula: a symbol, then an optional count.
+_ELEMENT = re.compile(r"([A-Z][a-z]?)([0-9]*)")
 
 
 class FormulaError(InputError):
@@ -140,31 +143,26 @@ def parse_formula(text: str, table: IsotopeTable | None = None) -> list[tuple[st
     tbl = builtin_isotope_table() if table is None else table
     out: list[tuple[str, int]] = []
     seen: set[str] = set()
-    i, n = 0, len(text)
-    while i < n:
-        if not "A" <= text[i] <= "Z":
+    i = 0
+    while i < len(text):
+        run = _ELEMENT.match(text, i)
+        if run is None:
             raise FormulaError(f"expected an element symbol, found {text[i]!r}", i)
-        start = i
-        i += 1
-        if i < n and "a" <= text[i] <= "z":
-            i += 1
-        symbol = text[start:i]
+        symbol, digits = run.groups()
         if symbol not in tbl:
-            raise FormulaError(f"unknown element {symbol!r}", start)
+            raise FormulaError(f"unknown element {symbol!r}", i)
         if symbol in seen:
-            raise FormulaError(f"repeated element {symbol!r}", start)
+            raise FormulaError(f"repeated element {symbol!r}", i)
         seen.add(symbol)
-        digits_start = i
-        while i < n and "0" <= text[i] <= "9":
-            i += 1
         count = 1
-        if i > digits_start:
-            count = int(text[digits_start:i])
+        if digits:
+            count = int(digits)
             if count == 0:
-                raise FormulaError("element count must be positive", digits_start)
+                raise FormulaError("element count must be positive", run.start(2))
             if count > _MAX_COUNT:
-                raise FormulaError("element count exceeds 32-bit range", digits_start)
+                raise FormulaError("element count exceeds 32-bit range", run.start(2))
         out.append((symbol, count))
+        i = run.end()
     return out
 
 
@@ -194,28 +192,20 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def expand_element(
-    symbol: str,
-    count: int,
-    table: IsotopeTable | None = None,
-    prune_delta: float | None = None,
-) -> IsotopologueVector:
+def expand_element(symbol: str, count: int,
+                   table: IsotopeTable | None = None) -> IsotopologueVector:
     """Multinomial expansion of one element: every composition gets a log
     probability (log-gamma multinomial coefficient plus per-isotope terms)
     and a mass.
 
     This is the naive path, kept as the reference that ElementSource is
-    tested against: generation is full enumeration, so EXPANSION_CAP holds
-    with or without prune_delta. With prune_delta set, entries more than
-    prune_delta below the best log abundance are dropped afterwards. Output
+    tested against: plain enumeration, refused beyond EXPANSION_CAP. Output
     order is unspecified; the selection engines sort anyway.
     """
     tbl = builtin_isotope_table() if table is None else table
     isotopes = tbl[symbol]
     if count < 1:
         raise InputError(f"atom count must be >= 1, got {count}")
-    if prune_delta is not None and not prune_delta >= 0:  # NaN too
-        raise InputError(f"prune_delta must be >= 0, got {prune_delta}")
     e = len(isotopes)
     n_configs = math.comb(count + e - 1, e - 1)
     if n_configs > EXPANSION_CAP:
@@ -242,14 +232,6 @@ def expand_element(
         log_abundances.append(la)
         masses.append(mass)
         compositions.append(comp)
-
-    if prune_delta is not None:
-        floor = max(log_abundances) - prune_delta
-        keep = [t for t, la in enumerate(log_abundances) if la >= floor]
-        log_abundances = [log_abundances[t] for t in keep]
-        masses = [masses[t] for t in keep]
-        compositions = [compositions[t] for t in keep]
-
     return IsotopologueVector(log_abundances, masses, compositions)
 
 
@@ -277,7 +259,8 @@ class ElementSource:
     the position pop_next reports, so peaks_from_items maps results through
     an ElementSource as it does through an IsotopologueVector. With
     prune_delta set the walk stops below the best log abundance minus
-    prune_delta, which emits exactly the entries expand_element keeps.
+    prune_delta, so it emits exactly the entries of expand_element that lie
+    within prune_delta of the best.
     """
 
     __slots__ = ("compositions", "masses", "_name", "_log_p", "_iso_mass", "_lg_total",
@@ -444,15 +427,6 @@ def top_peaks(
     come back in non-increasing abundance order.
     """
     tbl = builtin_isotope_table() if table is None else table
-    counts = parse_formula(formula, tbl)
-    # The root running dry bounds k, so only validate it; k=0 gives [].
-    k = normalize_k(k, CAPACITY_LIMIT)
-    sources = [ElementSource(symbol, count, tbl, prune_delta) for symbol, count in counts]
-    root = assemble_tree(sources).root
-    items = []
-    while len(items) < k:
-        item = root.pop_next()
-        if item is None:  # every configuration, or every one prune_delta kept
-            break
-        items.append(item)
-    return peaks_from_items(sources, items)
+    sources = [ElementSource(symbol, count, tbl, prune_delta)
+               for symbol, count in parse_formula(formula, tbl)]
+    return peaks_from_items(sources, select(sources, k).items)

@@ -9,8 +9,10 @@ and the root serves the full m-vector sum one value at a time.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import islice
 from math import isfinite
 from typing import TYPE_CHECKING, Iterator, Protocol
 
@@ -22,7 +24,6 @@ from .core import (
     SumOverflowError,
     TopKResult,
     as_float_vectors,
-    capacity,
     normalize_k,
     sort_descending,
 )
@@ -167,9 +168,6 @@ class PairNode:
                 raise SumOverflowError()
             c.heap_pushes += 1
             heappush(fringe, (-key, c.heap_pushes, i, j))
-            live = c.heap_pushes - c.heap_pops
-            if live > c.peak_fringe_entries:
-                c.peak_fringe_entries = live
         if i == 1:
             j += 1
             if j < len(rv) or _realize(self.right, rv, self.realized_right):
@@ -178,9 +176,11 @@ class PairNode:
                     raise SumOverflowError()
                 c.heap_pushes += 1
                 heappush(fringe, (-key, c.heap_pushes, 0, j))
-                live = c.heap_pushes - c.heap_pops
-                if live > c.peak_fringe_entries:
-                    c.peak_fringe_entries = live
+        # Each child pop above is followed by a push here, so the run's live
+        # count peaks when this call returns: sample it once, as the tensor does.
+        live = c.heap_pushes - c.heap_pops
+        if live > c.peak_fringe_entries:
+            c.peak_fringe_entries = live
         return item
 
 
@@ -203,6 +203,9 @@ class CartesianSumTree:
 
     def pop_next(self) -> IndexedValue | None:
         return self.root.pop_next()
+
+    def __iter__(self) -> Iterator[IndexedValue]:
+        return iter(self.root.pop_next, None)
 
     def pair_nodes(self) -> Iterator[PairNode]:
         stack: list[Source] = [self.root]
@@ -250,6 +253,20 @@ def build_tree(vectors) -> CartesianSumTree:
     return assemble_tree([LeafSource(a) for a in as_float_vectors(vectors)])
 
 
+def select(sources: list[Source], k: int) -> TopKResult:
+    """The top k values of the sum of ordered sources, through one tree.
+
+    k is checked, not clamped: the tree is drained until k values are out or
+    the root runs dry. k=0 builds nothing and reports zero counters.
+    """
+    # islice refuses a stop beyond sys.maxsize, which no run can pop anyway.
+    k = normalize_k(k, sys.maxsize)
+    if k == 0:
+        return TopKResult([], InstrumentationCounters())
+    tree = assemble_tree(sources)
+    return TopKResult(list(islice(tree, k)), tree.counters)
+
+
 def tree_top_k(vectors, k: int) -> TopKResult:
     """Top k values of the Cartesian sum via the pair-heap tree.
 
@@ -258,11 +275,4 @@ def tree_top_k(vectors, k: int) -> TopKResult:
     counters equal those of build_tree followed by k pops, except that k=0
     builds nothing and reports zero counters.
     """
-    axes = as_float_vectors(vectors)
-    want = normalize_k(k, capacity(len(a) for a in axes))
-    if want == 0:
-        return TopKResult([], InstrumentationCounters())
-    tree = assemble_tree([LeafSource(a) for a in axes])
-    # want never exceeds the cell count, so the root never runs dry here.
-    items = [tree.root.pop_next() for _ in range(want)]
-    return TopKResult(items, tree.counters)
+    return select([LeafSource(a) for a in as_float_vectors(vectors)], k)

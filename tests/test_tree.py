@@ -1,5 +1,7 @@
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +130,22 @@ def test_k_zero_and_clamp():
     assert len(tree_top_k([[1, 2], [3]], 50).items) == 2
 
 
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize("k", [10**30, 2**63])
+def test_huge_k_returns_every_cell(engine, k):
+    # Both k lie beyond sys.maxsize, which islice refuses as a stop.
+    assert engine([[1, 2], [3]], k).values == [5.0, 4.0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_built_tree_iterates_like_the_engine(m):
+    vectors = generate_instance(m, 3, seed=m)
+    tree = build_tree(vectors)
+    result = tree_top_k(vectors, 3**m)
+    assert list(tree) == result.items
+    assert tree.counters == result.counters
+
+
 def test_single_vector_engine_run():
     result = tree_top_k([[2, 9, 4]], 3)
     assert result.values == [9.0, 4.0, 2.0]
@@ -168,11 +186,35 @@ def test_non_integer_k_rejected(engine, bad):
 @pytest.mark.parametrize(
     "bad",
     [[[3.0], ["1", "2"]], [[3.0], [1, "2"]], [[3.0], [b"1"]], [[3.0], np.array(["1"])],
-     [[3.0], [1 + 0j]], [[3.0], np.array([1 + 0j])]],
+     [[3.0], [1 + 0j]], [[3.0], np.array([1 + 0j])],
+     [[3.0], np.array(["1", "2"], dtype=object)], [[3.0], np.array([b"1"], dtype=object)],
+     [[3.0], np.array([1.0, "2"], dtype=object)],
+     [[3.0], np.array(["2020-01-01"], dtype="datetime64[D]")],
+     [[3.0], np.array([5], dtype="timedelta64[s]")]],
 )
 def test_text_and_complex_entries_rejected(engine, bad):
     with pytest.raises(InputError, match="^vector 1 is not a sequence of reals$"):
         engine(bad, 1)
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize(
+    "entries,expected",
+    [([2, 1], [2.0, 1.0]), ([True, False], [1.0, 0.0]), ([2**63], [2.0**63]),
+     ([Fraction(1, 4)], [0.25]), ([Decimal("1.5")], [1.5]),
+     (np.array([1.5], dtype=np.float32), [1.5]), (np.array([-3], dtype=np.int8), [-3.0]),
+     (np.array([Fraction(1, 2), 2**64, True], dtype=object), [2.0**64, 1.0, 0.5]),
+     (np.ma.array([1.0, 2.0], mask=[False, False]), [2.0, 1.0])],
+)
+def test_real_entries_of_any_type_accepted(engine, entries, expected):
+    assert engine([entries], 3).values == expected
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3)])
+def test_entry_beyond_the_float_range_is_non_finite(engine, big):
+    with pytest.raises(InputError, match="^vector 1 contains a non-finite entry$"):
+        engine([[1.0], [big]], 1)
 
 
 @pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
@@ -343,8 +385,19 @@ PINNED_COUNTERS = {
                   ("tree", 3): (362, 185, 177, 4248, 177),
                   ("tensor", 3): (192, 3, 189, 98280, 189),
                   ("tree", 2000): (3552, 2872, 680, 16320, 680)},
+    # One-entry vectors: every inner node is drained while the tree is built,
+    # so the peak comes before the build ends and must be sampled as each
+    # node is built.
+    (5, 1, 5): {("tree", 1): (4, 4, 2, 48, 0), ("tensor", 1): (1, 1, 1, 48, 0)},
+    (8, 1, 8): {("tree", 1): (7, 7, 3, 72, 0), ("tensor", 1): (1, 1, 1, 72, 0)},
+    (17, 1, 17): {("tree", 1): (16, 16, 4, 96, 0), ("tensor", 1): (1, 1, 1, 144, 0)},
 }
 ENGINES = {"tree": tree_top_k, "tensor": tensor_top_k}
+
+
+def pinned_fields(c):
+    return (c.heap_pushes, c.heap_pops, c.peak_fringe_entries,
+            c.peak_entry_bytes_estimate, c.live_entries)
 
 
 @pytest.mark.parametrize("m,n,seed", list(PINNED_COUNTERS))
@@ -352,7 +405,12 @@ def test_counters_pinned(m, n, seed):
     vectors = generate_instance(m, n, seed)
     for (engine, k), expected in PINNED_COUNTERS[(m, n, seed)].items():
         c = ENGINES[engine](vectors, k).counters
-        got = (c.heap_pushes, c.heap_pops, c.peak_fringe_entries,
-               c.peak_entry_bytes_estimate, c.live_entries)
-        assert got == expected, (engine, k)
+        assert pinned_fields(c) == expected, (engine, k)
         assert c.live_entries == c.heap_pushes - c.heap_pops
+
+
+def test_build_peak_pinned_on_mixed_lengths():
+    # As with the one-entry vectors above, the tree's peak comes in its build.
+    vectors = [[0.5], [0.25, 0.75], [1.0], [0.625], [0.875], [0.125]]
+    assert pinned_fields(tree_top_k(vectors, 1).counters) == (8, 7, 3, 72, 1)
+    assert pinned_fields(tensor_top_k(vectors, 1).counters) == (2, 1, 1, 56, 1)
