@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+import sys
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 # numpy is imported inside the functions that call it. The isotope calculator
@@ -50,8 +50,25 @@ class IndexedValue(NamedTuple):
     indices: tuple[int, ...]
 
 
-@dataclass
-class InstrumentationCounters:
+class _SlotRecord:
+    """Field-wise ``==`` and a field repr over ``__slots__``, for the mutable
+    result holders; unhashable, since they are mutable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class InstrumentationCounters(_SlotRecord):
     """Exact heap-traffic accounting shared by every heap in one engine run.
 
     Every fringe entry of one run has the same price, ``entry_bytes``, which
@@ -59,10 +76,14 @@ class InstrumentationCounters:
     follow from the three counts.
     """
 
-    heap_pushes: int = 0
-    heap_pops: int = 0
-    peak_fringe_entries: int = 0
-    entry_bytes: int = 0
+    __slots__ = ("heap_pushes", "heap_pops", "peak_fringe_entries", "entry_bytes")
+
+    def __init__(self, heap_pushes: int = 0, heap_pops: int = 0,
+                 peak_fringe_entries: int = 0, entry_bytes: int = 0):
+        self.heap_pushes = heap_pushes
+        self.heap_pops = heap_pops
+        self.peak_fringe_entries = peak_fringe_entries
+        self.entry_bytes = entry_bytes
 
     @property
     def live_entries(self) -> int:
@@ -73,12 +94,14 @@ class InstrumentationCounters:
         return self.peak_fringe_entries * self.entry_bytes
 
 
-@dataclass
-class TopKResult:
+class TopKResult(_SlotRecord):
     """Top values in non-increasing order plus the run's heap counters."""
 
-    items: list[IndexedValue]
-    counters: InstrumentationCounters
+    __slots__ = ("items", "counters")
+
+    def __init__(self, items: list[IndexedValue], counters: InstrumentationCounters):
+        self.items = items
+        self.counters = counters
 
     @property
     def values(self) -> list[float]:
@@ -93,15 +116,22 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> list[np.ndarray]:
     """Validate the shared engine input contract and convert to float arrays.
 
     Requires at least one vector, every vector nonempty, every entry a finite
-    real; text, dates and complex entries are refused, not converted.
+    real; text, dates and complex entries are refused, not converted, and so
+    is a masked array with any entry masked.
     """
     import numpy as np
 
+    # Only numpy.ma makes masked arrays, so while it is not loaded no vector
+    # can be one and the check costs nothing.
+    ma = sys.modules.get("numpy.ma")
     vecs = list(vectors)
     if not vecs:
         raise InputError("need at least one input vector")
     out = []
     for d, vec in enumerate(vecs):
+        # np.asarray would read a masked entry's hidden value as data.
+        if ma is not None and ma.is_masked(vec):
+            raise InputError(f"vector {d} has masked entries")
         try:
             arr = np.asarray(vec)
             # Text, dates and complex numbers are not reals, though the float

@@ -17,10 +17,11 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from operator import getitem
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import IndexedValue, InputError
 from .tree import select
@@ -37,8 +38,11 @@ EXPANSION_CAP = 10_000_000
 LOOKAHEAD_CAP = 100_000
 
 _MAX_COUNT = 2**31 - 1
+_MAX_COUNT_DIGITS = len(str(_MAX_COUNT))
 # One element run of a formula: a symbol, then an optional count.
 _ELEMENT = re.compile(r"([A-Z][a-z]?)([0-9]*)")
+
+_new_tuple = tuple.__new__
 
 
 class FormulaError(InputError):
@@ -49,8 +53,7 @@ class FormulaError(InputError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Isotope:
+class Isotope(NamedTuple):
     mass: float  # Da
     abundance: float  # linear probability in (0, 1]
 
@@ -156,17 +159,19 @@ def parse_formula(text: str, table: IsotopeTable | None = None) -> list[tuple[st
         seen.add(symbol)
         count = 1
         if digits:
-            count = int(digits)
-            if count == 0:
+            # Leading zeros go first: int() refuses more than 4300 digits, and
+            # more significant digits than _MAX_COUNT has are out of range.
+            significant = digits.lstrip("0")
+            if not significant:
                 raise FormulaError("element count must be positive", run.start(2))
-            if count > _MAX_COUNT:
+            if len(significant) > _MAX_COUNT_DIGITS or int(significant) > _MAX_COUNT:
                 raise FormulaError("element count exceeds 32-bit range", run.start(2))
+            count = int(significant)
         out.append((symbol, count))
         i = run.end()
     return out
 
 
-@dataclass
 class IsotopologueVector:
     """All ways of distributing `count` atoms of one element over its isotopes.
 
@@ -175,9 +180,13 @@ class IsotopologueVector:
     order, summing to count).
     """
 
-    log_abundances: list[float]
-    masses: list[float]
-    compositions: list[tuple[int, ...]]
+    __slots__ = ("log_abundances", "masses", "compositions")
+
+    def __init__(self, log_abundances: list[float], masses: list[float],
+                 compositions: list[tuple[int, ...]]):
+        self.log_abundances = log_abundances
+        self.masses = masses
+        self.compositions = compositions
 
     def __len__(self) -> int:
         return len(self.log_abundances)
@@ -382,9 +391,12 @@ class ElementSource:
         return None
 
 
-@dataclass(frozen=True)
-class Peak:
-    """One isotope peak: mass, abundance, and the per-element composition."""
+class Peak(NamedTuple):
+    """One isotope peak: mass, abundance, and the per-element composition.
+
+    A tuple, so peaks_from_items builds it with ``tuple.__new__(Peak, (...))``
+    and skips the generated ``__new__``.
+    """
 
     mass: float
     abundance: float
@@ -395,21 +407,18 @@ class Peak:
 def peaks_from_items(expanded: list[IsotopologueVector], items) -> list[Peak]:
     """Map selection results to peaks; index tuples point into each element's
     IsotopologueVector or ElementSource."""
+    masses = [vec.masses for vec in expanded]
+    compositions = [vec.compositions for vec in expanded]
+    exp = math.exp
     peaks = []
-    for item in items:
+    for value, indices in items:
+        # Summed in element order, as a loop: sum() compensates float sums
+        # from Python 3.12 on, which would change the masses' last bits.
         mass = 0.0
-        config = []
-        for vec, t in zip(expanded, item.indices):
-            mass += vec.masses[t]
-            config.append(vec.compositions[t])
-        peaks.append(
-            Peak(
-                mass=mass,
-                abundance=math.exp(item.value),
-                log_abundance=item.value,
-                configuration=tuple(config),
-            )
-        )
+        for column, t in zip(masses, indices):
+            mass += column[t]
+        peaks.append(_new_tuple(Peak, (mass, exp(value), value,
+                                       tuple(map(getitem, compositions, indices)))))
     return peaks
 
 

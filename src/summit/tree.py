@@ -10,7 +10,6 @@ and the root serves the full m-vector sum one value at a time.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
 from math import isfinite
@@ -194,12 +193,14 @@ def _realize(child: Source, values: list[float], indices: list[tuple[int, ...]])
     return True
 
 
-@dataclass
 class CartesianSumTree:
     """Built topology: a single-consumer iterator over the full sum."""
 
-    root: Source
-    counters: InstrumentationCounters
+    __slots__ = ("root", "counters")
+
+    def __init__(self, root: Source, counters: InstrumentationCounters):
+        self.root = root
+        self.counters = counters
 
     def pop_next(self) -> IndexedValue | None:
         return self.root.pop_next()

@@ -105,6 +105,13 @@ class TestIsotopes:
         assert code == 3
         assert "offset 2" in err
 
+    def test_count_beyond_int_digit_limit_exits_3(self):
+        # More digits than int() converts from text (4300).
+        code, out, err = run_cli(["isotopes", "--formula", "C" + "1" * 5000, "--k", "1"])
+        assert (code, out) == (3, "")
+        assert "element count exceeds 32-bit range (offset 1)" in err
+        assert "Traceback" not in err
+
     def test_config_column_in_formula_order(self):
         _, out, _ = run_cli(["isotopes", "--formula", "H2O", "--k", "2"])
         for line in out.splitlines():

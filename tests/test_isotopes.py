@@ -79,6 +79,20 @@ class TestParseFormula:
         with pytest.raises(FormulaError):
             parse_formula("C2147483648")
 
+    def test_count_beyond_int_digit_limit(self):
+        # int() refuses text of more than 4300 digits; the parser must not
+        # hand it any.
+        with pytest.raises(FormulaError, match=r"^element count exceeds 32-bit range") as exc:
+            parse_formula("C" + "1" * 5000)
+        assert exc.value.offset == 1
+
+    def test_zero_padded_counts(self):
+        assert parse_formula("C" + "0" * 5000 + "1") == [("C", 1)]
+        assert parse_formula("H002147483647") == [("H", 2**31 - 1)]
+        with pytest.raises(FormulaError, match="^element count must be positive") as exc:
+            parse_formula("C" + "0" * 5000)
+        assert exc.value.offset == 1
+
     def test_fake_compound_parses(self):
         counts = parse_formula("Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800")
         assert len(counts) == 13
@@ -203,6 +217,20 @@ class TestTopPeaks:
         assert abs(peak.abundance - expected) <= 1e-12 * expected
         assert peak.configuration == ((3, 0), (8, 0))
         assert peak.mass == pytest.approx(3 * 12.0 + 8 * 1.00782503207, rel=1e-12)
+
+    def test_peak_is_a_named_tuple_in_field_order(self):
+        peak = top_peaks("C3H8", 1)[0]
+        assert tuple(peak) == (peak.mass, peak.abundance, peak.log_abundance,
+                               peak.configuration)
+        assert peak == (peak.mass, peak.abundance, peak.log_abundance, peak.configuration)
+        with pytest.raises(AttributeError):
+            peak.mass = 0.0
+
+    def test_isotope_is_a_named_tuple_in_field_order(self):
+        carbon = builtin_isotope_table()["C"][0]
+        assert tuple(carbon) == (carbon.mass, carbon.abundance) == (12.0, 0.9892)
+        with pytest.raises(AttributeError):
+            carbon.abundance = 1.0
 
     def test_propane_exhaustive_normalizes(self):
         peaks = top_peaks("C3H8", 4 * 9)
@@ -454,6 +482,7 @@ def test_prune_floor_just_above_an_entry(symbol, count):
 
 NUMPY_FREE_PATH = """
 import sys
+dataclasses_at_start = "dataclasses" in sys.modules
 import summit
 from summit.cli import main
 summit.builtin_isotope_table()
@@ -465,6 +494,7 @@ runs = [engine(vectors, 4).items for engine in
         (summit.tree_top_k, summit.tensor_top_k, summit.brute_force_top_k)]
 assert "numpy" in sys.modules
 assert runs[0] == runs[1] == runs[2], runs
+assert dataclasses_at_start or "dataclasses" not in sys.modules, "summit loaded dataclasses"
 """
 
 

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from summit import (
     InputError,
+    InstrumentationCounters,
     LeafSource,
     PairNode,
     SumOverflowError,
+    TopKResult,
     brute_force_top_k,
     build_tree,
+    expand_element,
     generate_instance,
     tensor_top_k,
     tree_top_k,
@@ -208,6 +211,13 @@ def test_text_and_complex_entries_rejected(engine, bad):
 )
 def test_real_entries_of_any_type_accepted(engine, entries, expected):
     assert engine([entries], 3).values == expected
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+def test_masked_entries_rejected(engine):
+    # np.asarray drops the mask, so the hidden 2.0 would be read as data.
+    with pytest.raises(InputError, match="^vector 1 has masked entries$"):
+        engine([[3.0], np.ma.array([1.0, 2.0], mask=[False, True])], 2)
 
 
 @pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
@@ -414,3 +424,29 @@ def test_build_peak_pinned_on_mixed_lengths():
     vectors = [[0.5], [0.25, 0.75], [1.0], [0.625], [0.875], [0.125]]
     assert pinned_fields(tree_top_k(vectors, 1).counters) == (8, 7, 3, 72, 1)
     assert pinned_fields(tensor_top_k(vectors, 1).counters) == (2, 1, 1, 56, 1)
+
+
+def test_result_holders_compare_and_print_by_field():
+    counters = InstrumentationCounters(1, 1, 1, 24)
+    assert counters == InstrumentationCounters(heap_pushes=1, heap_pops=1,
+                                               peak_fringe_entries=1, entry_bytes=24)
+    assert counters != InstrumentationCounters(1, 1, 1, 16)
+    assert counters != (1, 1, 1, 24)
+    assert repr(counters) == ("InstrumentationCounters(heap_pushes=1, heap_pops=1, "
+                              "peak_fringe_entries=1, entry_bytes=24)")
+    result = tree_top_k([[1.0], [2.0]], 1)
+    assert result == TopKResult([(3.0, (0, 0))], counters)
+    assert result != TopKResult([], counters)
+    assert repr(result) == ("TopKResult(items=[IndexedValue(value=3.0, indices=(0, 0))], "
+                            f"counters={counters!r})")
+
+
+@pytest.mark.parametrize("holder", [
+    InstrumentationCounters(),
+    TopKResult([], InstrumentationCounters()),
+    build_tree([[1.0], [2.0]]),
+    expand_element("C", 2),
+], ids=lambda holder: type(holder).__name__)
+def test_result_holders_take_no_new_attributes(holder):
+    with pytest.raises(AttributeError):
+        holder.extra = 1
