@@ -77,9 +77,8 @@ def cmd_topk(args: argparse.Namespace) -> int:
     vectors = read_vectors_file(args.input)
     result = ENGINES[args.method](vectors, args.k)
     out = sys.stdout
-    for rank, item in enumerate(result.items, 1):
-        indices = ",".join(str(i) for i in item.indices)
-        out.write(f"{rank}\t{item.value!r}\t{indices}\n")
+    for rank, (value, indices) in enumerate(zip(result.values, result.index_tuples), 1):
+        out.write(f"{rank}\t{value!r}\t{','.join(map(str, indices))}\n")
     if args.counters:
         c = result.counters
         out.write(

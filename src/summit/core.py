@@ -40,11 +40,7 @@ class SumOverflowError(InputError):
 
 
 class IndexedValue(NamedTuple):
-    """One Cartesian-sum value and the original-index tuple that produced it.
-
-    A tuple, so hot paths build it with ``tuple.__new__(IndexedValue, (value,
-    indices))`` and skip the generated ``__new__``.
-    """
+    """One Cartesian-sum value and the original-index tuple that produced it."""
 
     value: float
     indices: tuple[int, ...]
@@ -95,21 +91,23 @@ class InstrumentationCounters(_SlotRecord):
 
 
 class TopKResult(_SlotRecord):
-    """Top values in non-increasing order plus the run's heap counters."""
+    """Top values in non-increasing order, their index tuples (the engines
+    pass both lists as ``columns``), and the run's heap counters."""
 
-    __slots__ = ("items", "counters")
+    __slots__ = ("values", "index_tuples", "counters")
 
-    def __init__(self, items: list[IndexedValue], counters: InstrumentationCounters):
-        self.items = items
+    def __init__(self, items, counters: InstrumentationCounters, columns=None):
+        self.values, self.index_tuples = columns or ([v for v, _ in items],
+                                                     [t for _, t in items])
         self.counters = counters
 
     @property
-    def values(self) -> list[float]:
-        return [item.value for item in self.items]
+    def items(self) -> list[IndexedValue]:
+        new = tuple.__new__
+        return [new(IndexedValue, item) for item in zip(self.values, self.index_tuples)]
 
-    @property
-    def index_tuples(self) -> list[tuple[int, ...]]:
-        return [item.indices for item in self.items]
+    def __repr__(self) -> str:
+        return f"TopKResult(items={self.items!r}, counters={self.counters!r})"
 
 
 def as_float_vectors(vectors: Iterable[Sequence[float]]) -> list[np.ndarray]:
@@ -129,8 +127,10 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> list[np.ndarray]:
         raise InputError("need at least one input vector")
     out = []
     for d, vec in enumerate(vecs):
-        # np.asarray would read a masked entry's hidden value as data.
-        if ma is not None and ma.is_masked(vec):
+        # np.asarray reads a masked entry's hidden value as data, and the
+        # masked constant in a list as NaN.
+        if ma is not None and (ma.is_masked(vec) or isinstance(vec, (list, tuple))
+                               and any(x is ma.masked for x in vec)):
             raise InputError(f"vector {d} has masked entries")
         try:
             arr = np.asarray(vec)

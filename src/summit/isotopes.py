@@ -19,11 +19,12 @@ import math
 import re
 from functools import lru_cache
 from importlib import resources
-from operator import getitem
+from itertools import repeat
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import IndexedValue, InputError
+from .core import InputError
 from .tree import select
 from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
 
@@ -264,16 +265,17 @@ class ElementSource:
     more than LOOKAHEAD_CAP compositions ahead of those it has emitted raises
     InputError.
 
-    Only emitted entries are recorded, in `compositions` and `masses`, at
-    the position pop_next reports, so peaks_from_items maps results through
-    an ElementSource as it does through an IsotopologueVector. With
+    Only emitted entries are recorded, in the parallel lists `values`,
+    `compositions` and `masses`, so peaks_from_items maps results through an
+    ElementSource as it does through an IsotopologueVector. With
     prune_delta set the walk stops below the best log abundance minus
     prune_delta, so it emits exactly the entries of expand_element that lie
     within prune_delta of the best.
     """
 
-    __slots__ = ("compositions", "masses", "_name", "_log_p", "_iso_mass", "_lg_total",
-                 "_slack", "_moves", "_prune_delta", "_floor", "_heap", "_seen", "_ahead")
+    __slots__ = ("values", "indices", "compositions", "masses", "_name", "_log_p", "_iso_mass",
+                 "_lg_total", "_slack", "_moves", "_prune_delta", "_floor", "_heap", "_seen",
+                 "_ahead")
 
     def __init__(
         self,
@@ -288,6 +290,8 @@ class ElementSource:
             raise InputError(f"atom count must be >= 1, got {count}")
         if prune_delta is not None and not prune_delta >= 0:  # NaN too
             raise InputError(f"prune_delta must be >= 0, got {prune_delta}")
+        self.values: list[float] = []
+        self.indices: list[tuple[int]] = []
         self.compositions: list[tuple[int, ...]] = []
         self.masses: list[float] = []
         self._name = f"element {symbol} with {count} atoms"
@@ -361,7 +365,7 @@ class ElementSource:
                     seen.add(nxt)
                     self._push(nxt)
 
-    def pop_next(self) -> IndexedValue | None:
+    def extend(self) -> bool:
         heap = self._heap
         while heap:
             neg_key, unexplored, comp, la = heapq.heappop(heap)
@@ -378,25 +382,23 @@ class ElementSource:
                     continue
             if la < self._floor:
                 heap.clear()  # everything left is below the floor
-                return None
-            if not self.compositions and self._prune_delta is not None:
+                return False
+            if not self.values and self._prune_delta is not None:
                 self._floor = la - self._prune_delta
             mass = 0.0
             for kj, mj in zip(comp, self._iso_mass):
                 mass += kj * mj
             self._ahead -= 1
+            self.indices.append((len(self.values),))
+            self.values.append(la)
             self.compositions.append(comp)
             self.masses.append(mass)
-            return IndexedValue(la, (len(self.compositions) - 1,))
-        return None
+            return True
+        return False
 
 
 class Peak(NamedTuple):
-    """One isotope peak: mass, abundance, and the per-element composition.
-
-    A tuple, so peaks_from_items builds it with ``tuple.__new__(Peak, (...))``
-    and skips the generated ``__new__``.
-    """
+    """One isotope peak: mass, abundance, and the per-element composition."""
 
     mass: float
     abundance: float
@@ -407,19 +409,18 @@ class Peak(NamedTuple):
 def peaks_from_items(expanded: list[IsotopologueVector], items) -> list[Peak]:
     """Map selection results to peaks; index tuples point into each element's
     IsotopologueVector or ElementSource."""
-    masses = [vec.masses for vec in expanded]
-    compositions = [vec.compositions for vec in expanded]
-    exp = math.exp
-    peaks = []
-    for value, indices in items:
-        # Summed in element order, as a loop: sum() compensates float sums
-        # from Python 3.12 on, which would change the masses' last bits.
-        mass = 0.0
-        for column, t in zip(masses, indices):
-            mass += column[t]
-        peaks.append(_new_tuple(Peak, (mass, exp(value), value,
-                                       tuple(map(getitem, compositions, indices)))))
-    return peaks
+    if not items:
+        return []
+    values, index_tuples = zip(*items)
+    columns = list(zip(expanded, zip(*index_tuples)))
+    # Summed in element order, one element at a time: sum() compensates
+    # float sums from Python 3.12 on, which would change the last bits.
+    masses = repeat(0.0)
+    for vec, column in columns:
+        masses = map(add, masses, map(vec.masses.__getitem__, column))
+    configurations = zip(*[map(vec.compositions.__getitem__, column) for vec, column in columns])
+    peaks = zip(masses, map(math.exp, values), values, configurations)
+    return [_new_tuple(Peak, peak) for peak in peaks]
 
 
 def top_peaks(

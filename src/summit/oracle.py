@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from .core import (
     NUMBER_BYTES,
-    IndexedValue,
     InputError,
     InstrumentationCounters,
     SumOverflowError,
@@ -55,14 +54,8 @@ def brute_force_top_k(vectors, k: int) -> TopKResult:
     # argsort of the negated grid is stable, so equal values keep C order,
     # i.e. lexicographic index tuples.
     order = np.argsort(-flat, kind="stable")[:want]
-    shape = grid.shape
-    items = [
-        IndexedValue(
-            float(flat[ix]),
-            tuple(int(c) for c in np.unravel_index(int(ix), shape)),
-        )
-        for ix in order
-    ]
+    positions = [axis.tolist() for axis in np.unravel_index(order, grid.shape)]
+    columns = flat[order].tolist(), list(zip(*positions))
     counters.peak_fringe_entries = cells
     counters.entry_bytes = (1 + len(axes)) * NUMBER_BYTES
-    return TopKResult(items, counters)
+    return TopKResult((), counters, columns)

@@ -17,7 +17,6 @@ from operator import getitem
 
 from .core import (
     NUMBER_BYTES,
-    IndexedValue,
     InstrumentationCounters,
     SumOverflowError,
     TopKResult,
@@ -26,8 +25,6 @@ from .core import (
     normalize_k,
 )
 from .tree import LeafSource
-
-_new_tuple = tuple.__new__
 
 
 def tensor_top_k(vectors, k: int) -> TopKResult:
@@ -46,7 +43,7 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
     m = len(axes)
     leaves = [LeafSource(arr) for arr in axes]
     # The leaves extend these lists in place as they grow.
-    sorted_axes = [leaf.sorted_values for leaf in leaves]
+    sorted_axes = [leaf.values for leaf in leaves]
     perms = [leaf.permutation for leaf in leaves]
 
     origin = (0,) * m
@@ -61,10 +58,12 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
     peak = 1
 
     dims = range(m)
-    items: list[IndexedValue] = []
-    while len(items) < want:
+    values: list[float] = []
+    index_tuples: list[tuple[int, ...]] = []
+    while len(values) < want:
         neg_key, _, pos = heappop(fringe)
-        items.append(_new_tuple(IndexedValue, (-neg_key, tuple(map(getitem, perms, pos)))))
+        values.append(-neg_key)
+        index_tuples.append(tuple(map(getitem, perms, pos)))
         for d in dims:
             nxt = pos[d] + 1
             if nxt == len(sorted_axes[d]) and not leaves[d].grow():
@@ -81,5 +80,5 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
             heappush(fringe, (-key, len(visited), succ))
         if len(fringe) > peak:
             peak = len(fringe)
-    counters = InstrumentationCounters(len(visited), len(items), peak, (1 + m) * NUMBER_BYTES)
-    return TopKResult(items, counters)
+    counters = InstrumentationCounters(len(visited), want, peak, (1 + m) * NUMBER_BYTES)
+    return TopKResult((), counters, (values, index_tuples))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import repeat
 from math import isfinite
 from typing import TYPE_CHECKING, Iterator, Protocol
 
@@ -32,9 +32,14 @@ if TYPE_CHECKING:
 
 
 class Source(Protocol):
-    """An ordered source: values in non-increasing order, then None forever."""
+    """An ordered source: ``extend`` serves one more entry, appending it to
+    ``values`` and ``indices`` in non-increasing value order, or returns
+    False once none is left. ``len(indices)`` is the count served."""
 
-    def pop_next(self) -> IndexedValue | None: ...
+    values: list[float]
+    indices: list[tuple[int, ...]]
+
+    def extend(self) -> bool: ...
 
 
 # A vector of at most FIRST_LAYER entries is sorted whole. A longer one is
@@ -52,35 +57,38 @@ _new_tuple = tuple.__new__
 class LeafSource:
     """Serves one input vector's values in non-increasing order.
 
-    ``sorted_values`` and ``permutation`` (to original indices) hold the
-    sorted prefix served so far, in the order a stable full sort would give;
-    ``grow`` extends both lists in place by the next layer. Each layer holds
-    the largest entries not yet served, ties going to lower original indices,
-    and only the layer is sorted, so a consumer that reads a few entries of a
-    long vector never pays for sorting the rest (the layer-ordered heaps of
-    Serang, arXiv:1910.11993).
+    ``values`` (also read as ``sorted_values``) and ``permutation`` (to
+    original indices) hold the sorted prefix, in the order a stable full
+    sort would give; ``grow`` extends both lists in place by the next layer.
+    Each layer holds the largest entries not yet in the prefix, ties going
+    to lower original indices, and only the layer is sorted, so a consumer
+    that reads a few entries of a long vector never pays for sorting the
+    rest (the layer-ordered heaps of Serang, arXiv:1910.11993).
     """
 
-    __slots__ = ("sorted_values", "permutation", "cursor", "_rest", "_rest_index")
+    __slots__ = ("values", "indices", "permutation", "_rest", "_rest_index")
+
+    sorted_values = property(lambda self: self.values)
+    cursor = property(lambda self: len(self.indices))
 
     def __init__(self, arr: np.ndarray):
-        self.sorted_values: list[float] = []
+        self.values: list[float] = []
+        self.indices: list[tuple[int]] = []
         self.permutation: list[int] = []
-        self.cursor = 0
-        # Entries not yet served (None once all are) and their original
-        # indices (None while they are all of arr, in order).
+        # Entries not yet in the prefix (None once all are) and their
+        # original indices (None while they are all of arr, in order).
         self._rest: np.ndarray | None = arr
         self._rest_index: np.ndarray | None = None
         self.grow()
 
     def grow(self) -> bool:
-        """Append the next layer to the served prefix; False once none is left."""
+        """Append the next layer to the sorted prefix; False once none is left."""
         import numpy as np
 
         rest, index = self._rest, self._rest_index
         if rest is None:
             return False
-        size = FIRST_LAYER + (LAYER_GROWTH - 1) * len(self.sorted_values)
+        size = FIRST_LAYER + (LAYER_GROWTH - 1) * len(self.values)
         if size < len(rest):
             cut = np.partition(rest, len(rest) - size)[len(rest) - size]
             take = rest > cut
@@ -95,50 +103,47 @@ class LeafSource:
         # The layer is in ascending original index order, so the stable sort
         # keeps ties in that order, as across the layer boundaries.
         values, order = sort_descending(rest)
-        self.sorted_values += values
+        self.values += values
         self.permutation += order if index is None else index[order].tolist()
         return True
 
-    def pop_next(self) -> IndexedValue | None:
-        p = self.cursor
-        if p == len(self.sorted_values) and not self.grow():
-            return None
-        self.cursor = p + 1
-        return _new_tuple(IndexedValue, (self.sorted_values[p], (self.permutation[p],)))
+    def extend(self) -> bool:
+        p = len(self.indices)
+        if p == len(self.values) and not self.grow():
+            return False
+        self.indices.append((self.permutation[p],))
+        return True
 
 
 class PairNode:
     """Lazy heap over the Cartesian sum of two child sources.
 
-    Values popped from the children accumulate in append-only margins:
-    ``left_values``/``right_values`` hold the values and
-    ``realized_left``/``realized_right`` the index tuples. The fringe is a
-    ``heapq`` list of ``(-sum, seq, row, column)`` entries into those
-    margins, with the shared counters' push number as ``seq``, so ties pop
-    in push order and margin positions are never compared. Popping (i, j)
-    pushes (i+1, j) always and (i, j+1) only from row zero, which covers
-    every cell exactly once with no visited set. A child is only consulted when a successor
-    references a margin entry that does not exist yet, so realized-per-child
-    never exceeds pops + 1.
+    The fringe is a ``heapq`` list of ``(-sum, seq, i, j)`` entries: i and j
+    are positions in the children's own ``values`` and ``indices``, and
+    ``seq`` is the shared counters' push number, so ties pop in push order.
+    Popping (i, j) pushes (i+1, j) always and (i, j+1) only from row zero,
+    which covers every cell exactly once with no visited set. A child is
+    extended only when a successor needs an entry it has not served yet, so
+    the entries realized per child never exceed pops + 1.
     """
 
-    __slots__ = ("left", "right", "left_values", "right_values", "realized_left",
-                 "realized_right", "fringe", "pops", "_counters")
+    __slots__ = ("left", "right", "values", "indices", "fringe", "_counters")
+
+    realized_left = property(lambda self: self.left.indices)
+    realized_right = property(lambda self: self.right.indices)
+    pops = property(lambda self: len(self.values))
 
     def __init__(self, left: Source, right: Source, counters: InstrumentationCounters):
         self.left = left
         self.right = right
-        self.left_values: list[float] = []
-        self.right_values: list[float] = []
-        self.realized_left: list[tuple[int, ...]] = []
-        self.realized_right: list[tuple[int, ...]] = []
-        self.pops = 0
+        self.values: list[float] = []
+        self.indices: list[tuple[int, ...]] = []
         self._counters = counters
         # Children are nonempty by the input contract, so the corner cell
         # always exists.
-        _realize(left, self.left_values, self.realized_left)
-        _realize(right, self.right_values, self.realized_right)
-        key = self.left_values[0] + self.right_values[0]
+        left.extend()
+        right.extend()
+        key = left.values[0] + right.values[0]
         if not isfinite(key):
             raise SumOverflowError()
         counters.heap_pushes += 1
@@ -147,21 +152,22 @@ class PairNode:
         if live > counters.peak_fringe_entries:
             counters.peak_fringe_entries = live
 
-    def pop_next(self) -> IndexedValue | None:
+    def extend(self) -> bool:
         fringe = self.fringe
         if not fringe:
-            return None
+            return False
         neg_key, _, i, j = heappop(fringe)
         c = self._counters
         c.heap_pops += 1
-        self.pops += 1
-        item = _new_tuple(IndexedValue,
-                          (-neg_key, self.realized_left[i] + self.realized_right[j]))
+        left, right = self.left, self.right
+        li, ri = left.indices, right.indices
+        self.values.append(-neg_key)
+        self.indices.append(li[i] + ri[j])
         # The successors, (i+1, j) and then (0, j+1) from row zero, are
         # pushed inline: this is the engine's hot path.
-        lv, rv = self.left_values, self.right_values
+        lv, rv = left.values, right.values
         i += 1
-        if i < len(lv) or _realize(self.left, lv, self.realized_left):
+        if i < len(li) or left.extend():
             key = lv[i] + rv[j]
             if not isfinite(key):
                 raise SumOverflowError()
@@ -169,7 +175,7 @@ class PairNode:
             heappush(fringe, (-key, c.heap_pushes, i, j))
         if i == 1:
             j += 1
-            if j < len(rv) or _realize(self.right, rv, self.realized_right):
+            if j < len(ri) or right.extend():
                 key = lv[0] + rv[j]
                 if not isfinite(key):
                     raise SumOverflowError()
@@ -180,17 +186,7 @@ class PairNode:
         live = c.heap_pushes - c.heap_pops
         if live > c.peak_fringe_entries:
             c.peak_fringe_entries = live
-        return item
-
-
-def _realize(child: Source, values: list[float], indices: list[tuple[int, ...]]) -> bool:
-    """Append the child's next entry to a margin; False once the child is dry."""
-    nxt = child.pop_next()
-    if nxt is None:
-        return False
-    values.append(nxt[0])
-    indices.append(nxt[1])
-    return True
+        return True
 
 
 class CartesianSumTree:
@@ -203,19 +199,14 @@ class CartesianSumTree:
         self.counters = counters
 
     def pop_next(self) -> IndexedValue | None:
-        return self.root.pop_next()
+        root = self.root
+        n = len(root.indices)
+        if not root.extend():
+            return None
+        return _new_tuple(IndexedValue, (root.values[n], root.indices[n]))
 
     def __iter__(self) -> Iterator[IndexedValue]:
-        return iter(self.root.pop_next, None)
-
-    def pair_nodes(self) -> Iterator[PairNode]:
-        stack: list[Source] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, PairNode):
-                yield node
-                stack.append(node.left)
-                stack.append(node.right)
+        return iter(self.pop_next, None)
 
 
 def _build(sources: list[Source], lo: int, hi: int,
@@ -257,15 +248,23 @@ def build_tree(vectors) -> CartesianSumTree:
 def select(sources: list[Source], k: int) -> TopKResult:
     """The top k values of the sum of ordered sources, through one tree.
 
-    k is checked, not clamped: the tree is drained until k values are out or
-    the root runs dry. k=0 builds nothing and reports zero counters.
+    k is checked, not clamped: the root serves until k values are out or it
+    runs dry. k=0 builds nothing and reports zero counters.
     """
-    # islice refuses a stop beyond sys.maxsize, which no run can pop anyway.
+    # repeat refuses a count beyond sys.maxsize, which no run can serve anyway.
     k = normalize_k(k, sys.maxsize)
     if k == 0:
         return TopKResult([], InstrumentationCounters())
     tree = assemble_tree(sources)
-    return TopKResult(list(islice(tree, k)), tree.counters)
+    root = tree.root
+    for _ in repeat(None, k):
+        if not root.extend():
+            break
+    # The root's lists are the result; a leaf's values run ahead of it.
+    values, indices = root.values, root.indices
+    if len(values) > len(indices):
+        values = values[: len(indices)]
+    return TopKResult((), tree.counters, (values, indices))
 
 
 def tree_top_k(vectors, k: int) -> TopKResult:

@@ -4,7 +4,7 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
-from summit import LeafSource
+from summit import LeafSource, PairNode
 from summit.cli import main
 
 
@@ -45,9 +45,20 @@ def tree_depth(tree):
     return walk(tree.root)
 
 
+def pair_nodes(tree):
+    """The pair nodes of a built tree, root first."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, PairNode):
+            yield node
+            stack.append(node.left)
+            stack.append(node.right)
+
+
 def check_tree_laziness(tree):
     """Realized-per-child and fringe size never exceed pops-from-node + 1."""
-    for node in tree.pair_nodes():
+    for node in pair_nodes(tree):
         assert len(node.realized_left) <= node.pops + 1
         assert len(node.realized_right) <= node.pops + 1
         assert len(node.fringe) <= node.pops + 1

@@ -24,7 +24,13 @@ from summit import (
     top_peaks,
 )
 
-from helpers import assert_values_match, assert_well_formed, check_tree_laziness, run_cli
+from helpers import (
+    assert_values_match,
+    assert_well_formed,
+    check_tree_laziness,
+    pair_nodes,
+    run_cli,
+)
 
 FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
 
@@ -113,10 +119,10 @@ def test_c2_tree_laziness():
             check_tree_laziness(tree)
             if item is None:
                 break
-        pair_nodes = list(tree.pair_nodes())
-        nodes_checked += len(pair_nodes)
+        nodes = list(pair_nodes(tree))
+        nodes_checked += len(nodes)
         # counter exactness: every fringe pop is exactly one node pop
-        assert tree.counters.heap_pops == sum(node.pops for node in pair_nodes)
+        assert tree.counters.heap_pops == sum(node.pops for node in nodes)
         assert tree.counters.peak_fringe_entries <= 2 * tree.counters.heap_pops + m
     assert nodes_checked > 100
     _report(2, "laziness: realized and fringe within pops+1 at every node")

@@ -15,6 +15,7 @@ import summit.isotopes
 from summit import (
     ElementSource,
     FormulaError,
+    IndexedValue,
     InputError,
     Isotope,
     IsotopeTable,
@@ -331,16 +332,16 @@ def expand_within(symbol, count, table=None, prune_delta=None):
 
 
 def drain_against_enumeration(symbol, count, table, prune_delta=None):
-    """Pop an ElementSource dry and compare it with expand_element."""
+    """Extend an ElementSource until it is dry and compare it with expand_element."""
     e = len(table[symbol])
     naive = expand_within(symbol, count, table, prune_delta)
     expected = sorted(naive.log_abundances, reverse=True)
     ascending = sorted(expand_element(symbol, count, table).log_abundances)
     source = ElementSource(symbol, count, table, prune_delta)
     values = []
-    while (item := source.pop_next()) is not None:
-        assert item.indices == (len(values),)
-        values.append(item.value)
+    while source.extend():
+        assert source.indices[-1] == (len(values),)
+        values.append(source.values[-1])
         # Laziness: the walk computes at most e(e-1) neighbours of each
         # composition it explores. It explores those it has emitted, plus
         # any tied with the last one within rounding, which it must look
@@ -374,8 +375,9 @@ class TestElementSource:
         path = tmp_path / "t.tsv"
         path.write_text("F\t18.99840322\t1.0\n")
         source = ElementSource("F", 9, load_isotope_table(path))
-        assert source.pop_next().value == 0.0
-        assert source.pop_next() is None
+        assert source.extend()
+        assert source.values[-1] == 0.0
+        assert not source.extend()
         assert source.compositions == [(9,)]
 
     def test_bad_count_and_prune_delta_rejected(self):
@@ -469,6 +471,62 @@ def test_fake_compound_matches_naive_path():
     assert [p.log_abundance for p in peaks] == [p.log_abundance for p in naive]
 
 
+def spy_on_mapping(monkeypatch):
+    """Record each (sources, items) pair that top_peaks maps to peaks,
+    through the module name it looks up."""
+    calls = []
+    original = summit.isotopes.peaks_from_items
+
+    def spy(expanded, items):
+        calls.append((expanded, items))
+        return original(expanded, items)
+
+    monkeypatch.setattr(summit.isotopes, "peaks_from_items", spy)
+    return calls
+
+
+def assert_peaks_match_a_loop(peaks, expanded, items):
+    """Each peak's fields as a per-peak loop gives them, to the bit: the
+    mass summed from 0.0 in element order."""
+    assert len(peaks) == len(items)
+    for peak, (value, indices) in zip(peaks, items):
+        mass = 0.0
+        for vec, t in zip(expanded, indices):
+            mass += vec.masses[t]
+        assert peak.mass.hex() == mass.hex()
+        assert peak.abundance.hex() == math.exp(value).hex()
+        assert peak.log_abundance.hex() == value.hex()
+        assert peak.configuration == tuple(vec.compositions[t]
+                                           for vec, t in zip(expanded, indices))
+
+
+def test_top_peaks_maps_through_the_module_name(monkeypatch):
+    calls = spy_on_mapping(monkeypatch)
+    peaks = top_peaks("C3H8", 3)
+    [(expanded, items)] = calls
+    assert all(type(item) is IndexedValue for item in items)
+    assert [type(source) for source in expanded] == [ElementSource, ElementSource]
+    assert_peaks_match_a_loop(peaks, expanded, items)
+
+
+def test_fake_compound_peak_bits_match_a_loop(monkeypatch):
+    calls = spy_on_mapping(monkeypatch)
+    peaks = top_peaks(FAKE_COMPOUND, 512)
+    [(expanded, items)] = calls
+    assert len(peaks) == 512
+    assert_peaks_match_a_loop(peaks, expanded, items)
+
+
+@settings(max_examples=100)
+@given(formulas, st.integers(0, 300))
+def test_peak_bits_match_a_loop(formula, k):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_on_mapping(monkeypatch)
+        peaks = top_peaks(formula, k)
+    [(expanded, items)] = calls
+    assert_peaks_match_a_loop(peaks, expanded, items)
+
+
 @pytest.mark.parametrize("symbol,count", [("C", 20), ("Ne", 20), ("S", 10)])
 def test_prune_floor_just_above_an_entry(symbol, count):
     # A floor a hair above an entry, closer than the walk's rounding slack:
@@ -494,6 +552,7 @@ runs = [engine(vectors, 4).items for engine in
         (summit.tree_top_k, summit.tensor_top_k, summit.brute_force_top_k)]
 assert "numpy" in sys.modules
 assert runs[0] == runs[1] == runs[2], runs
+assert "numpy.ma" not in sys.modules, "the masked-entry check loaded numpy.ma"
 assert dataclasses_at_start or "dataclasses" not in sys.modules, "summit loaded dataclasses"
 """
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summit import (
+    IndexedValue,
     InputError,
     InstrumentationCounters,
     LeafSource,
@@ -25,7 +26,13 @@ from summit import (
 from summit.core import sort_descending
 from summit.tree import FIRST_LAYER, LAYER_GROWTH, assemble_tree
 
-from helpers import assert_values_match, assert_well_formed, check_tree_laziness, tree_depth
+from helpers import (
+    assert_values_match,
+    assert_well_formed,
+    check_tree_laziness,
+    pair_nodes,
+    tree_depth,
+)
 
 
 class TestTopology:
@@ -37,7 +44,7 @@ class TestTopology:
         tree = build_tree([[3, 1, 2]])
         assert isinstance(tree.root, LeafSource)
         assert tree_depth(tree) == 0
-        assert list(tree.pair_nodes()) == []
+        assert list(pair_nodes(tree)) == []
 
     def test_four_vectors_balanced(self):
         tree = build_tree([[1], [2], [3], [4]])
@@ -74,7 +81,7 @@ class TestTopology:
         assert len(root.realized_left) == 1
         assert len(root.realized_right) == 1
         depth = tree_depth(tree)
-        for node in tree.pair_nodes():
+        for node in pair_nodes(tree):
             if node is not root:
                 assert 1 <= node.pops <= depth
         check_tree_laziness(tree)
@@ -221,6 +228,14 @@ def test_masked_entries_rejected(engine):
 
 
 @pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize("vector", [[np.ma.masked], (2.0, np.ma.masked)])
+def test_masked_constant_in_a_sequence_rejected(engine, vector):
+    # np.asarray would read the masked constant as NaN, with a UserWarning.
+    with pytest.raises(InputError, match="^vector 1 has masked entries$"):
+        engine([[1.0], vector], 1)
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
 @pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3)])
 def test_entry_beyond_the_float_range_is_non_finite(engine, big):
     with pytest.raises(InputError, match="^vector 1 contains a non-finite entry$"):
@@ -345,7 +360,7 @@ def leaf_input(kind, n, seed):
 def test_layered_leaf_equals_full_sort(kind, n):
     arr = leaf_input(kind, n, seed=n)
     leaf = LeafSource(arr)
-    while leaf.pop_next() is not None:
+    while leaf.extend():
         assert len(leaf.sorted_values) <= FIRST_LAYER + LAYER_GROWTH * leaf.cursor
     assert leaf.cursor == n
     values, permutation = sort_descending(arr)
@@ -439,6 +454,27 @@ def test_result_holders_compare_and_print_by_field():
     assert result != TopKResult([], counters)
     assert repr(result) == ("TopKResult(items=[IndexedValue(value=3.0, indices=(0, 0))], "
                             f"counters={counters!r})")
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize("vectors,k", [
+    ([[3.0, 1.0, 2.0], [4.0, 2.0]], 4),
+    (generate_instance(3, 5, seed=1), 40),
+    ([[float(x) for x in range(300)]], 5),  # a lone leaf root sorts ahead of k
+    ([[1.0], [2.0]], 0),
+])
+def test_result_columns_agree_with_items(engine, vectors, k):
+    result = engine(vectors, k)
+    items = result.items
+    assert all(type(item) is IndexedValue for item in items)
+    assert result.values == [item.value for item in items]
+    assert result.index_tuples == [item.indices for item in items]
+    assert all(type(v) is float for v in result.values)
+    assert all(type(i) is int for indices in result.index_tuples for i in indices)
+    assert len(result.values) == min(k, math.prod(map(len, vectors)))
+    rebuilt = TopKResult(items, result.counters)
+    assert rebuilt == result
+    assert repr(rebuilt) == repr(result)
 
 
 @pytest.mark.parametrize("holder", [
