@@ -110,12 +110,13 @@ class TopKResult(_SlotRecord):
         return f"TopKResult(items={self.items!r}, counters={self.counters!r})"
 
 
-def as_float_vectors(vectors: Iterable[Sequence[float]]) -> list[np.ndarray]:
+def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]:
     """Validate the shared engine input contract and convert to float arrays.
 
     Requires at least one vector, every vector nonempty, every entry a finite
     real; text, dates and complex entries are refused, not converted, and so
-    is a masked array with any entry masked.
+    is a masked array with any entry masked. Returns a list of 1-D arrays, or
+    one 2-D array whose rows are the vectors when they convert in one call.
     """
     import numpy as np
 
@@ -125,12 +126,25 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> list[np.ndarray]:
     vecs = list(vectors)
     if not vecs:
         raise InputError("need at least one input vector")
+    # Equal-length vectors of plain numbers convert as one block. Any other
+    # input, and any failure, is left to the loop below and its messages.
+    try:
+        if ma is None and len(set(map(len, vecs))) == 1:
+            block = np.asarray(vecs)
+            if block.ndim == 2 and block.size and block.dtype.kind in "biuf":
+                block = block.astype(float, copy=False)
+                if np.isfinite(block).all():
+                    return block
+    except (TypeError, ValueError):
+        pass
     out = []
     for d, vec in enumerate(vecs):
         # np.asarray reads a masked entry's hidden value as data, and the
-        # masked constant in a list as NaN.
-        if ma is not None and (ma.is_masked(vec) or isinstance(vec, (list, tuple))
-                               and any(x is ma.masked for x in vec)):
+        # masked constant in a list or an object array as NaN or an object.
+        if ma is not None and (ma.is_masked(vec) or (
+                isinstance(vec, (list, tuple))
+                or getattr(vec, "dtype", None) == object and np.ndim(vec) == 1)
+                and any(x is ma.masked for x in vec)):
             raise InputError(f"vector {d} has masked entries")
         try:
             arr = np.asarray(vec)

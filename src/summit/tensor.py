@@ -24,14 +24,14 @@ from .core import (
     capacity,
     normalize_k,
 )
-from .tree import LeafSource
+from .tree import leaf_sources
 
 
 def tensor_top_k(vectors, k: int) -> TopKResult:
     """Top k values of X1 + X2 + ... + Xm with their original index tuples.
 
     Accepts unsorted vectors (each axis is served non-increasing by the tree
-    engine's layered LeafSource) and clamps k to the number of cells.
+    engine's layered leaves) and clamps k to the number of cells.
     Returned values are non-increasing; index tuples refer to positions in
     the vectors as given.
     """
@@ -41,7 +41,7 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
         return TopKResult([], InstrumentationCounters())
 
     m = len(axes)
-    leaves = [LeafSource(arr) for arr in axes]
+    leaves = leaf_sources(axes)
     # The leaves extend these lists in place as they grow.
     sorted_axes = [leaf.values for leaf in leaves]
     perms = [leaf.permutation for leaf in leaves]

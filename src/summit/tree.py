@@ -48,6 +48,9 @@ class Source(Protocol):
 # within FIRST_LAYER + LAYER_GROWTH * (entries served).
 FIRST_LAYER = 256
 LAYER_GROWTH = 4
+# Equal-length vectors of at most FIRST_LAYER entries start with a first
+# layer of BLOCK_LAYER entries, cut and sorted for all of them at once.
+BLOCK_LAYER = 8
 # Fringe entry price of a pair node: the key plus the (row, column) pair.
 PAIR_ENTRY_BYTES = 3 * NUMBER_BYTES
 
@@ -88,6 +91,10 @@ class LeafSource:
         rest, index = self._rest, self._rest_index
         if rest is None:
             return False
+        if index is None and self.permutation:  # the first layer came from leaf_sources
+            keep = np.ones(len(rest), bool)
+            keep[self.permutation] = False
+            rest, index = rest[keep], np.flatnonzero(keep)
         size = FIRST_LAYER + (LAYER_GROWTH - 1) * len(self.values)
         if size < len(rest):
             cut = np.partition(rest, len(rest) - size)[len(rest) - size]
@@ -209,6 +216,40 @@ class CartesianSumTree:
         return iter(self.pop_next, None)
 
 
+def leaf_sources(vecs) -> list[LeafSource]:
+    """One LeafSource per vector converted by as_float_vectors.
+
+    Vectors that share a length of at most FIRST_LAYER are stacked, and the
+    first BLOCK_LAYER entries of all of them are cut, by the rule of
+    LeafSource.grow, and sorted in one pass; a leaf sorts the rest of its
+    row on its first grow.
+    """
+    import numpy as np
+
+    n = len(vecs[0])
+    if n > FIRST_LAYER or not isinstance(vecs, np.ndarray) and any(len(v) != n for v in vecs):
+        return [LeafSource(a) for a in vecs]
+    block = np.asarray(vecs)
+    m, width = len(block), min(n, BLOCK_LAYER)
+    cut = np.partition(block, n - width, axis=1)[:, n - width, None]
+    take = (block > cut).ravel()
+    # Of the entries at its cut value, each row takes those with the lowest
+    # original indices, as many as its layer has room for.
+    ties = np.flatnonzero(block == cut)
+    rows = ties // n
+    rank = np.arange(len(ties)) - np.searchsorted(rows, rows)
+    take[ties[rank < width - np.count_nonzero(take.reshape(m, n), axis=1)[rows]]] = True
+    # Each row's layer is in original index order, which the stable sort keeps on ties.
+    flat = np.flatnonzero(take).reshape(m, width)
+    flat = np.take_along_axis(flat, (-block.take(flat)).argsort(axis=1, kind="stable"), axis=1)
+    values, columns = block.take(flat).tolist(), (flat % n).tolist()
+    leaves = [LeafSource.__new__(LeafSource) for _ in values]
+    for leaf, row, v, p in zip(leaves, block if width < n else repeat(None), values, columns):
+        leaf.values, leaf.permutation, leaf.indices = v, p, []
+        leaf._rest, leaf._rest_index = row, None
+    return leaves
+
+
 def _build(sources: list[Source], lo: int, hi: int,
            counters: InstrumentationCounters) -> Source:
     if hi - lo == 1:
@@ -242,7 +283,7 @@ def build_tree(vectors) -> CartesianSumTree:
     Construction realizes exactly one value from each child of every node and
     seeds each fringe with the corner cell.
     """
-    return assemble_tree([LeafSource(a) for a in as_float_vectors(vectors)])
+    return assemble_tree(leaf_sources(as_float_vectors(vectors)))
 
 
 def select(sources: list[Source], k: int) -> TopKResult:
@@ -275,4 +316,4 @@ def tree_top_k(vectors, k: int) -> TopKResult:
     counters equal those of build_tree followed by k pops, except that k=0
     builds nothing and reports zero counters.
     """
-    return select([LeafSource(a) for a in as_float_vectors(vectors)], k)
+    return select(leaf_sources(as_float_vectors(vectors)), k)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,8 +24,16 @@ from summit import (
     tensor_top_k,
     tree_top_k,
 )
-from summit.core import sort_descending
-from summit.tree import FIRST_LAYER, LAYER_GROWTH, assemble_tree
+import summit.tensor
+from summit.core import as_float_vectors, sort_descending
+from summit.tree import (
+    BLOCK_LAYER,
+    FIRST_LAYER,
+    LAYER_GROWTH,
+    assemble_tree,
+    leaf_sources,
+    select,
+)
 
 from helpers import (
     assert_values_match,
@@ -228,7 +237,8 @@ def test_masked_entries_rejected(engine):
 
 
 @pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
-@pytest.mark.parametrize("vector", [[np.ma.masked], (2.0, np.ma.masked)])
+@pytest.mark.parametrize("vector", [[np.ma.masked], (2.0, np.ma.masked),
+                                    np.array([2.0, np.ma.masked], dtype=object)])
 def test_masked_constant_in_a_sequence_rejected(engine, vector):
     # np.asarray would read the masked constant as NaN, with a UserWarning.
     with pytest.raises(InputError, match="^vector 1 has masked entries$"):
@@ -378,6 +388,122 @@ def test_engines_agree_on_long_tied_vectors():
         assert tree.values == tensor.values
         assert_well_formed(vectors, tree, k)
         assert_well_formed(vectors, tensor, k)
+
+
+BLOCK_SIZES = (1, BLOCK_LAYER - 1, BLOCK_LAYER, BLOCK_LAYER + 1, FIRST_LAYER)
+
+
+@pytest.mark.parametrize("kind", ["ties", "signed_zeros"])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_block_leaves_equal_full_sort(kind, n, m):
+    rows = np.array([leaf_input(kind, n, seed=100 * m + d) for d in range(m)])
+    full = [sort_descending(row) for row in rows]
+    if n > BLOCK_LAYER:
+        # Some row's cut value repeats on both sides of the block layer.
+        assert any(values[BLOCK_LAYER - 1] == values[BLOCK_LAYER] for values, _ in full)
+    for leaf, (values, permutation) in zip(leaf_sources(rows), full):
+        first = min(n, BLOCK_LAYER)
+        assert len(leaf.sorted_values) == first
+        while leaf.extend():
+            bound = first if leaf.cursor <= first else FIRST_LAYER
+            assert len(leaf.sorted_values) <= bound + LAYER_GROWTH * leaf.cursor
+        assert leaf.cursor == n
+        # repr tells -0.0 from 0.0, which == does not.
+        assert list(map(repr, leaf.sorted_values)) == list(map(repr, values))
+        assert leaf.permutation == permutation
+
+
+@pytest.fixture(params=[True, False], ids=["numpy.ma loaded", "numpy.ma not loaded"])
+def ma_loaded(request, monkeypatch):
+    """Runs a test with and without numpy.ma in sys.modules: as_float_vectors
+    converts equal-length input in one call only while it is not loaded."""
+    if not request.param:
+        monkeypatch.delitem(sys.modules, "numpy.ma")
+    return request.param
+
+
+def per_row_leaves(vectors):
+    return [LeafSource(np.asarray(v, dtype=float)) for v in vectors]
+
+
+def test_equal_length_input_converts_as_one_block(ma_loaded):
+    vecs = as_float_vectors([[1, 2.5], [3.0, True]])
+    assert isinstance(vecs, np.ndarray) != ma_loaded
+    assert [v.tolist() for v in vecs] == [[1.0, 2.5], [3.0, 1.0]]
+
+
+EQUAL_LENGTH = {
+    "deep": generate_instance(64, 64, 1),
+    "short": generate_instance(7, 9, 2),
+    "ties": [leaf_input("ties", 12, seed=d).tolist() for d in range(5)],
+    "signed_zeros": [leaf_input("signed_zeros", 9, seed=d).tolist() for d in range(4)],
+    "narrow": [[2, 0, 2, 1, 2, 0], [1, 1, 0, 1, 1, 1], [0, 2, 2, 2, 0, 2]],
+    "single": [leaf_input("ties", 40, seed=7).tolist()],
+    "long": generate_instance(2, FIRST_LAYER + 44, 4),
+    "fortran_order": np.asfortranarray(generate_instance(6, 20, 5)),
+}
+
+
+@pytest.mark.parametrize("name", list(EQUAL_LENGTH))
+def test_equal_length_engines_match_per_row_leaves(name, ma_loaded, monkeypatch):
+    vectors = EQUAL_LENGTH[name]
+    n = len(vectors[0])
+    for k in (1, n, 4 * n + 3, 3000):
+        tree = tree_top_k(vectors, k)
+        reference = select(per_row_leaves(vectors), k)
+        assert list(map(repr, tree.values)) == list(map(repr, reference.values))
+        assert tree.index_tuples == reference.index_tuples
+        assert tree.counters == reference.counters
+    built = build_tree(vectors)
+    reference = assemble_tree(per_row_leaves(vectors))
+    for _ in range(3000):
+        item = built.pop_next()
+        assert repr(item) == repr(reference.pop_next())
+        assert built.counters == reference.counters
+        if item is None:
+            break
+    tensors = [tensor_top_k(vectors, k) for k in (1, n, 4 * n + 3)]
+    monkeypatch.setattr(summit.tensor, "leaf_sources", per_row_leaves)
+    for k, tensor in zip((1, n, 4 * n + 3), tensors):
+        reference = tensor_top_k(vectors, k)
+        assert list(map(repr, tensor.values)) == list(map(repr, reference.values))
+        assert tensor.index_tuples == reference.index_tuples
+        assert tensor.counters == reference.counters
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize("vectors,message", [
+    ([[1.0, 2.0], [3.0, 4.0], [5.0, math.nan]], "vector 2 contains a non-finite entry"),
+    ([[1.0], ["2"]], "vector 1 is not a sequence of reals"),
+    ([[1.0], [1 + 0j]], "vector 1 is not a sequence of reals"),
+    ([[1.0], np.array(["2020-01-01"], dtype="datetime64[D]")],
+     "vector 1 is not a sequence of reals"),
+    ([[[1.0, 2.0]], [[3.0, 4.0]]], "vector 0 is not one-dimensional"),
+    ([[1.0], [10**400]], "vector 1 contains a non-finite entry"),
+    ([[], []], "vector 0 is empty"),
+    (np.array([[1.0, 2.0], [math.inf, 3.0]]), "vector 1 contains a non-finite entry"),
+], ids=["nan", "text", "complex", "date", "nested", "big_int", "empty", "ndarray"])
+def test_equal_length_input_errors_keep_their_vector(engine, vectors, message, ma_loaded):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        engine(vectors, 1)
+
+
+@pytest.mark.parametrize("vectors", [
+    [[2**64, 0.5], [1.0, 2**70]],
+    [[2**53 + 1, 0.5], [3, 2**63 - 1]],
+    [[True, False], [False, True]],
+    [[True, 2.5], [1, False]],
+    np.array([[1.5, -2.0], [0.25, 3.0]]),
+    np.array([[1, -2], [3, 4]], dtype=np.int8),
+], ids=["big_ints", "int64", "bools", "mixed", "ndarray", "int8"])
+def test_equal_length_input_converts_like_each_vector(vectors, ma_loaded):
+    expected = [[float(x) for x in row] for row in vectors]
+    assert [v.tolist() for v in as_float_vectors(vectors)] == expected
+    for engine in (tree_top_k, tensor_top_k, brute_force_top_k):
+        result = engine(vectors, 4)
+        assert result.values == engine(expected, 4).values
+        assert result.index_tuples == engine(expected, 4).index_tuples
 
 
 # (m, n, seed) -> {(engine, k): (heap_pushes, heap_pops, peak_fringe_entries,
