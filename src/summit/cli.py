@@ -26,7 +26,7 @@ def read_vectors_file(path: str) -> list[list[float]]:
     a finite decimal real.
     """
     vectors = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

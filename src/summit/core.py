@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import operator
 import sys
+from functools import wraps
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 # numpy is imported inside the functions that call it. The isotope calculator
@@ -108,6 +110,26 @@ class TopKResult(_SlotRecord):
 
     def __repr__(self) -> str:
         return f"TopKResult(items={self.items!r}, counters={self.counters!r})"
+
+
+def gc_paused(fn):
+    """Run fn with the cyclic garbage collector off, and turn it back on after.
+
+    The engines allocate a tuple per push and per pop, and a tree holds no
+    reference cycles, so reference counting frees what dies in the call and
+    the collector's passes over it are waste. A collector that is off when
+    the call starts, by the caller or an outer call, is left off.
+    """
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]:

@@ -24,7 +24,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import InputError
+from .core import InputError, gc_paused
 from .tree import select
 from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
 
@@ -125,7 +125,7 @@ def load_isotope_table(path: str | Path, renormalize: bool = False) -> IsotopeTa
     abundances must sum to 1 within 1e-3 unless renormalize is set.
     """
     path = Path(path)
-    return _parse_tsv(path.read_text(encoding="utf-8"), str(path), renormalize)
+    return _parse_tsv(path.read_text(encoding="utf-8-sig"), str(path), renormalize)
 
 
 @lru_cache(maxsize=1)
@@ -423,6 +423,7 @@ def peaks_from_items(expanded: list[IsotopologueVector], items) -> list[Peak]:
     return [_new_tuple(Peak, peak) for peak in peaks]
 
 
+@gc_paused
 def top_peaks(
     formula: str,
     k: int,

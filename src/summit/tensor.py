@@ -22,11 +22,13 @@ from .core import (
     TopKResult,
     as_float_vectors,
     capacity,
+    gc_paused,
     normalize_k,
 )
 from .tree import leaf_sources
 
 
+@gc_paused
 def tensor_top_k(vectors, k: int) -> TopKResult:
     """Top k values of X1 + X2 + ... + Xm with their original index tuples.
 

@@ -23,6 +23,7 @@ from .core import (
     SumOverflowError,
     TopKResult,
     as_float_vectors,
+    gc_paused,
     normalize_k,
     sort_descending,
 )
@@ -308,6 +309,7 @@ def select(sources: list[Source], k: int) -> TopKResult:
     return TopKResult((), tree.counters, (values, indices))
 
 
+@gc_paused
 def tree_top_k(vectors, k: int) -> TopKResult:
     """Top k values of the Cartesian sum via the pair-heap tree.
 

@@ -50,6 +50,13 @@ class TestTopk:
         assert code == 0
         assert float(out.splitlines()[0].split("\t")[1]) == 7.0
 
+    def test_byte_order_mark_before_a_vector_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("3,1\n4,2\n", encoding="utf-8-sig")
+        code, out, _ = run_cli(["topk", "--input", str(path), "--k", "1"])
+        assert code == 0
+        assert out.splitlines()[0].split("\t")[1:] == ["7.0", "0,0"]
+
     def test_non_finite_value_exits_3(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("1,nan\n")
@@ -126,6 +133,15 @@ class TestIsotopes:
         )
         assert code == 0
         assert float(out.splitlines()[0].split("\t")[2]) == 1.0
+
+    def test_data_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("F\t18.99840322\t1.0\n", encoding="utf-8-sig")
+        code, out, _ = run_cli(
+            ["isotopes", "--formula", "F2", "--k", "1", "--data", str(path)]
+        )
+        assert code == 0
+        assert out.splitlines()[0].split("\t")[3] == "F[2]"
 
     def test_prune_delta_flag(self):
         code, out, _ = run_cli(

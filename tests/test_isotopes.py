@@ -161,6 +161,18 @@ class TestIsotopeTable:
         path.write_text("# header\n\nC\t12.0\t0.9892\nC\t13.0033548378\t0.0108\n")
         assert "C" in load_isotope_table(path)
 
+    def test_byte_order_mark_before_a_row(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("H\t1.00782503207\t0.9999\nH\t2.0141017778\t0.0001\n",
+                        encoding="utf-8-sig")
+        assert load_isotope_table(path).symbols() == ["H"]
+
+    def test_byte_order_mark_before_a_comment(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# element\tmass_da\tabundance\nF\t18.99840322\t1.0\n",
+                        encoding="utf-8-sig")
+        assert load_isotope_table(path).symbols() == ["F"]
+
 
 class TestExpandElement:
     def test_carbon_three_atoms(self):
