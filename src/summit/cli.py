@@ -32,6 +32,8 @@ def read_vectors_file(path: str) -> list[list[float]]:
             if not line or line.startswith("#"):
                 continue
             try:
+                if "_" in line:  # float() reads "1_0" as 10.0
+                    raise ValueError
                 row = [float(field) for field in line.split(",")]
             except ValueError:
                 raise InputError(f"{path}:{lineno}: malformed vector line {line!r}") from None
@@ -92,7 +94,7 @@ def cmd_isotopes(args: argparse.Namespace) -> int:
     table = load_isotope_table(args.data) if args.data else builtin_isotope_table()
     # Parsed here too, for the config labels and to fail before any work.
     counts = parse_formula(args.formula, table)
-    peaks = top_peaks(args.formula, args.k, table, args.prune_delta)
+    peaks = top_peaks(args.formula, args.k, table)
     out = sys.stdout
     for rank, peak in enumerate(peaks, 1):
         config = ";".join(
@@ -138,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("--formula", required=True)
     p_iso.add_argument("--k", required=True, type=_nonnegative_int)
     p_iso.add_argument("--data", default=None, help="isotope table TSV (default: built-in)")
-    p_iso.add_argument("--prune-delta", type=float, default=None,
-                       help="stop each element's walk this far below its best log abundance")
     p_iso.set_defaults(func=cmd_isotopes)
 
     p_bench = sub.add_parser("bench", help="timing and counter CSV over synthetic instances")

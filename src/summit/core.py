@@ -84,10 +84,6 @@ class InstrumentationCounters(_SlotRecord):
         self.entry_bytes = entry_bytes
 
     @property
-    def live_entries(self) -> int:
-        return self.heap_pushes - self.heap_pops
-
-    @property
     def peak_entry_bytes_estimate(self) -> int:
         return self.peak_fringe_entries * self.entry_bytes
 

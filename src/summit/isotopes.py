@@ -78,7 +78,7 @@ class IsotopeTable:
         return sorted(self._elements)
 
 
-def _parse_tsv(text: str, source: str, renormalize: bool) -> IsotopeTable:
+def _parse_tsv(text: str, source: str) -> IsotopeTable:
     elements: dict[str, list[Isotope]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -91,12 +91,14 @@ def _parse_tsv(text: str, source: str, renormalize: bool) -> IsotopeTable:
             )
         symbol = fields[0].strip()
         try:
+            if "_" in fields[1] + fields[2]:  # float() reads "1_0" as 10.0
+                raise ValueError
             mass = float(fields[1])
             abundance = float(fields[2])
         except ValueError:
             raise InputError(f"{source}:{lineno}: non-numeric mass or abundance") from None
-        if mass <= 0:
-            raise InputError(f"{source}:{lineno}: isotope mass must be positive")
+        if not 0 < mass < math.inf:  # NaN too
+            raise InputError(f"{source}:{lineno}: isotope mass must be positive and finite")
         if not 0 < abundance <= 1:
             raise InputError(f"{source}:{lineno}: abundance must be in (0, 1]")
         isotopes = elements.setdefault(symbol, [])
@@ -108,31 +110,28 @@ def _parse_tsv(text: str, source: str, renormalize: bool) -> IsotopeTable:
         isotopes.sort(key=lambda iso: iso.mass)
         total = sum(iso.abundance for iso in isotopes)
         if abs(total - 1.0) > 1e-3:
-            if not renormalize:
-                raise InputError(
-                    f"{source}: abundances for {symbol} sum to {total:.6f}, not 1"
-                )
-            elements[symbol] = [Isotope(iso.mass, iso.abundance / total) for iso in isotopes]
+            raise InputError(f"{source}: abundances for {symbol} sum to {total:.6f}, not 1")
     if not elements:
         raise InputError(f"{source}: no isotope rows found")
     return IsotopeTable(elements)
 
 
-def load_isotope_table(path: str | Path, renormalize: bool = False) -> IsotopeTable:
+def load_isotope_table(path: str | Path) -> IsotopeTable:
     """Load a TSV of `element<TAB>mass_da<TAB>abundance` rows.
 
-    Blank lines and lines starting with '#' are ignored. Per element, the
-    abundances must sum to 1 within 1e-3 unless renormalize is set.
+    Blank lines and lines starting with '#' are ignored. Masses must be
+    positive and finite, and per element the abundances must sum to 1
+    within 1e-3.
     """
     path = Path(path)
-    return _parse_tsv(path.read_text(encoding="utf-8-sig"), str(path), renormalize)
+    return _parse_tsv(path.read_text(encoding="utf-8-sig"), str(path))
 
 
 @lru_cache(maxsize=1)
 def builtin_isotope_table() -> IsotopeTable:
     """The table shipped with the package (H, C, N, O, S, Cl, V, He, Cu, Ga, Ag, Tl, Ne)."""
     text = resources.files("summit").joinpath("data/isotopes.tsv").read_text("utf-8")
-    return _parse_tsv(text, "builtin isotopes.tsv", renormalize=False)
+    return _parse_tsv(text, "builtin isotopes.tsv")
 
 
 def parse_formula(text: str, table: IsotopeTable | None = None) -> list[tuple[str, int]]:
@@ -267,29 +266,17 @@ class ElementSource:
 
     Only emitted entries are recorded, in the parallel lists `values`,
     `compositions` and `masses`, so peaks_from_items maps results through an
-    ElementSource as it does through an IsotopologueVector. With
-    prune_delta set the walk stops below the best log abundance minus
-    prune_delta, so it emits exactly the entries of expand_element that lie
-    within prune_delta of the best.
+    ElementSource as it does through an IsotopologueVector.
     """
 
     __slots__ = ("values", "indices", "compositions", "masses", "_name", "_log_p", "_iso_mass",
-                 "_lg_total", "_slack", "_moves", "_prune_delta", "_floor", "_heap", "_seen",
-                 "_ahead")
+                 "_lg_total", "_slack", "_moves", "_heap", "_seen", "_ahead")
 
-    def __init__(
-        self,
-        symbol: str,
-        count: int,
-        table: IsotopeTable | None = None,
-        prune_delta: float | None = None,
-    ):
+    def __init__(self, symbol: str, count: int, table: IsotopeTable | None = None):
         tbl = builtin_isotope_table() if table is None else table
         isotopes = tbl[symbol]
         if count < 1:
             raise InputError(f"atom count must be >= 1, got {count}")
-        if prune_delta is not None and not prune_delta >= 0:  # NaN too
-            raise InputError(f"prune_delta must be >= 0, got {prune_delta}")
         self.values: list[float] = []
         self.indices: list[tuple[int]] = []
         self.compositions: list[tuple[int, ...]] = []
@@ -306,8 +293,6 @@ class ElementSource:
         scale = 2 * self._lg_total + count * max(-lp for lp in self._log_p)
         self._slack = (3 * e + 5) * scale * 2.0**-50
         self._moves = [(i, j) for i in range(e) for j in range(e) if i != j]
-        self._prune_delta = prune_delta
-        self._floor = -math.inf
         mode = self._mode(count, [iso.abundance for iso in isotopes])
         # Entries are (-key, unexplored, composition, log abundance): at equal
         # keys an explored composition comes first, and compositions are
@@ -368,8 +353,8 @@ class ElementSource:
     def extend(self) -> bool:
         heap = self._heap
         while heap:
-            neg_key, unexplored, comp, la = heapq.heappop(heap)
-            if unexplored and -neg_key >= self._floor:
+            _, unexplored, comp, la = heapq.heappop(heap)
+            if unexplored:
                 self._ahead += 1
                 if self._ahead > LOOKAHEAD_CAP:
                     raise InputError(
@@ -380,11 +365,6 @@ class ElementSource:
                 if heap and -heap[0][0] > la:
                     heapq.heappush(heap, (-la, 0, comp, la))
                     continue
-            if la < self._floor:
-                heap.clear()  # everything left is below the floor
-                return False
-            if not self.values and self._prune_delta is not None:
-                self._floor = la - self._prune_delta
             mass = 0.0
             for kj, mj in zip(comp, self._iso_mass):
                 mass += kj * mj
@@ -424,20 +404,14 @@ def peaks_from_items(expanded: list[IsotopologueVector], items) -> list[Peak]:
 
 
 @gc_paused
-def top_peaks(
-    formula: str,
-    k: int,
-    table: IsotopeTable | None = None,
-    prune_delta: float | None = None,
-) -> list[Peak]:
+def top_peaks(formula: str, k: int, table: IsotopeTable | None = None) -> list[Peak]:
     """The k most abundant isotope peaks of a molecular formula.
 
     One ElementSource per distinct element, and the tree engine selects the
     top k log-abundance sums from them. Fewer than k peaks come back when
-    the formula has fewer configurations, or prune_delta keeps fewer. Peaks
-    come back in non-increasing abundance order.
+    the formula has fewer configurations. Peaks come back in non-increasing
+    abundance order.
     """
     tbl = builtin_isotope_table() if table is None else table
-    sources = [ElementSource(symbol, count, tbl, prune_delta)
-               for symbol, count in parse_formula(formula, tbl)]
+    sources = [ElementSource(symbol, count, tbl) for symbol, count in parse_formula(formula, tbl)]
     return peaks_from_items(sources, select(sources, k).items)

@@ -43,6 +43,14 @@ class TestTopk:
         assert out == ""
         assert "malformed" in err
 
+    def test_digit_separator_is_malformed(self, tmp_path):
+        # float() reads "1_0" as 10.0; the file format takes decimal reals only.
+        path = tmp_path / "v.txt"
+        path.write_text("1_0,2\n3,1\n")
+        code, out, err = run_cli(["topk", "--input", str(path), "--k", "1"])
+        assert (code, out) == (3, "")
+        assert f"{path}:1: malformed vector line '1_0,2'" in err
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("# two vectors\n\n3,1\n\n4,2\n")
@@ -143,12 +151,20 @@ class TestIsotopes:
         assert code == 0
         assert out.splitlines()[0].split("\t")[3] == "F[2]"
 
-    def test_prune_delta_flag(self):
-        code, out, _ = run_cli(
-            ["isotopes", "--formula", "C100", "--k", "3", "--prune-delta", "30"]
+    def test_non_finite_mass_in_data_file_exits_3(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("H\tnan\t0.5\nH\t2.0\t0.5\n")
+        code, out, err = run_cli(
+            ["isotopes", "--formula", "H2", "--k", "2", "--data", str(path)]
         )
-        assert code == 0
-        assert len(out.splitlines()) == 3
+        assert (code, out) == (3, "")
+        assert f"{path}:1: isotope mass must be positive and finite" in err
+
+    def test_unknown_option_exits_2(self):
+        code, out, _ = run_cli(
+            ["isotopes", "--formula", "C3H8", "--k", "3", "--prune-delta", "1"]
+        )
+        assert (code, out) == (2, "")
 
     def test_k_zero_prints_no_rows(self):
         # The same k contract as top_peaks(formula, 0) and `topk --k 0`.

@@ -30,7 +30,6 @@ CALLS = {
     ]),
     "top_peaks": (lambda: top_peaks("C3H8", 5), [
         (InputError, lambda: top_peaks("C3H8", -1)),
-        (InputError, lambda: top_peaks("C3H8", 5, prune_delta=float("nan"))),
         (InputError, lambda: top_peaks("C3Xq8", 5)),
     ]),
 }
@@ -148,5 +147,5 @@ def test_wrapper_keeps_name_doc_and_signature(name):
     assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
     assert inspect.signature(fn) == inspect.signature(fn.__wrapped__)
     params = list(inspect.signature(fn).parameters)
-    assert params == (["formula", "k", "table", "prune_delta"] if name == "top_peaks"
+    assert params == (["formula", "k", "table"] if name == "top_peaks"
                       else ["vectors", "k"])

@@ -1,6 +1,7 @@
 import bisect
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,6 @@ from summit import (
     InputError,
     Isotope,
     IsotopeTable,
-    IsotopologueVector,
     builtin_isotope_table,
     expand_element,
     load_isotope_table,
@@ -150,11 +150,22 @@ class TestIsotopeTable:
         with pytest.raises(InputError, match="sum to"):
             load_isotope_table(path)
 
-    def test_renormalize_flag(self, tmp_path):
+    @pytest.mark.parametrize("mass", ["nan", "inf", "-inf", "0", "-1.0"])
+    def test_mass_not_positive_and_finite_rejected(self, tmp_path, mass):
         path = tmp_path / "t.tsv"
-        path.write_text("C\t12.0\t0.5\nC\t13.0\t0.4\n")
-        table = load_isotope_table(path, renormalize=True)
-        assert sum(iso.abundance for iso in table["C"]) == pytest.approx(1.0)
+        path.write_text(f"H\t1.0\t0.5\nH\t{mass}\t0.5\n")
+        with pytest.raises(InputError, match=f"{re.escape(str(path))}:2: isotope mass "
+                                             "must be positive and finite"):
+            load_isotope_table(path)
+
+    @pytest.mark.parametrize("row", ["C\t1_2.0\t1.0", "C\t12.0\t1_0"],
+                             ids=["mass", "abundance"])
+    def test_digit_separator_rejected(self, tmp_path, row):
+        # float() reads "1_0" as 10.0; the table takes decimal reals only.
+        path = tmp_path / "t.tsv"
+        path.write_text(f"# comment\n{row}\n")
+        with pytest.raises(InputError, match=f"{re.escape(str(path))}:2: non-numeric"):
+            load_isotope_table(path)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -331,25 +342,13 @@ TIE_TABLE = IsotopeTable({
 FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
 
 
-def expand_within(symbol, count, table=None, prune_delta=None):
-    """expand_element, keeping only the entries within prune_delta of the best."""
-    vec = expand_element(symbol, count, table)
-    if prune_delta is None:
-        return vec
-    floor = max(vec.log_abundances) - prune_delta
-    keep = [t for t, la in enumerate(vec.log_abundances) if la >= floor]
-    return IsotopologueVector([vec.log_abundances[t] for t in keep],
-                              [vec.masses[t] for t in keep],
-                              [vec.compositions[t] for t in keep])
-
-
-def drain_against_enumeration(symbol, count, table, prune_delta=None):
+def drain_against_enumeration(symbol, count, table):
     """Extend an ElementSource until it is dry and compare it with expand_element."""
     e = len(table[symbol])
-    naive = expand_within(symbol, count, table, prune_delta)
+    naive = expand_element(symbol, count, table)
     expected = sorted(naive.log_abundances, reverse=True)
-    ascending = sorted(expand_element(symbol, count, table).log_abundances)
-    source = ElementSource(symbol, count, table, prune_delta)
+    ascending = expected[::-1]
+    source = ElementSource(symbol, count, table)
     values = []
     while source.extend():
         assert source.indices[-1] == (len(values),)
@@ -374,14 +373,12 @@ class TestElementSource:
     def test_builtin_elements_match_full_enumeration(self, symbol):
         table = builtin_isotope_table()
         for count in range(1, 31):
-            for prune_delta in (None, 0.0, 4.0):
-                drain_against_enumeration(symbol, count, table, prune_delta)
+            drain_against_enumeration(symbol, count, table)
 
     @pytest.mark.parametrize("symbol,max_count", [("Aa", 60), ("Bb", 60), ("Cc", 10)])
     def test_tied_abundances_match_full_enumeration(self, symbol, max_count):
         for count in range(1, max_count + 1):
-            for prune_delta in (None, 0.0, 3.0):
-                drain_against_enumeration(symbol, count, TIE_TABLE, prune_delta)
+            drain_against_enumeration(symbol, count, TIE_TABLE)
 
     def test_single_isotope_element(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -395,16 +392,14 @@ class TestElementSource:
     def test_bad_count_and_prune_delta_rejected(self):
         with pytest.raises(InputError):
             ElementSource("C", 0)
-        for bad in (-1.0, float("nan")):
-            with pytest.raises(InputError):
-                ElementSource("C", 2, prune_delta=bad)
+        with pytest.raises(TypeError, match="prune_delta"):  # the option is gone
+            ElementSource("C", 2, prune_delta=1.0)
         with pytest.raises(InputError, match="Xq"):
             ElementSource("Xq", 2)
 
 
-def naive_top_peaks(formula, k, prune_delta=None):
-    expanded = [expand_within(symbol, count, prune_delta=prune_delta)
-                for symbol, count in parse_formula(formula)]
+def naive_top_peaks(formula, k):
+    expanded = [expand_element(symbol, count) for symbol, count in parse_formula(formula)]
     result = tree_top_k([vec.log_abundances for vec in expanded], k)
     return peaks_from_items(expanded, result.items)
 
@@ -431,10 +426,10 @@ formulas = st.lists(
 
 
 @settings(max_examples=200)
-@given(formulas, st.integers(1, 600), st.one_of(st.none(), st.floats(0.0, 20.0)))
-def test_top_peaks_matches_naive_path(formula, k, prune_delta):
-    lazy = top_peaks(formula, k, prune_delta=prune_delta)
-    naive = naive_top_peaks(formula, k, prune_delta)
+@given(formulas, st.integers(1, 600))
+def test_top_peaks_matches_naive_path(formula, k):
+    lazy = top_peaks(formula, k)
+    naive = naive_top_peaks(formula, k)
     assert [p.log_abundance for p in lazy] == [p.log_abundance for p in naive]
     naive_mass = {p.configuration: p.mass for p in naive}
     for peak in lazy:
@@ -537,17 +532,6 @@ def test_peak_bits_match_a_loop(formula, k):
         peaks = top_peaks(formula, k)
     [(expanded, items)] = calls
     assert_peaks_match_a_loop(peaks, expanded, items)
-
-
-@pytest.mark.parametrize("symbol,count", [("C", 20), ("Ne", 20), ("S", 10)])
-def test_prune_floor_just_above_an_entry(symbol, count):
-    # A floor a hair above an entry, closer than the walk's rounding slack:
-    # the entry must still be left out.
-    values = sorted(set(expand_element(symbol, count).log_abundances), reverse=True)
-    for v in values[1:6]:
-        prune_delta = (values[0] - v) * (1 - 1e-12)
-        assert values[0] - prune_delta > v
-        drain_against_enumeration(symbol, count, builtin_isotope_table(), prune_delta)
 
 
 NUMPY_FREE_PATH = """
