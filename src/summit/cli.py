@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .bench import ENGINES, run_bench
-from .core import InputError
+from .core import InputError, data_lines
 from .isotopes import builtin_isotope_table, load_isotope_table, parse_formula, top_peaks
 
 EXIT_OK = 0
@@ -22,24 +23,19 @@ EXIT_DATA = 3
 def read_vectors_file(path: str) -> list[list[float]]:
     """One vector per line, values separated by single commas.
 
-    Blank lines and lines starting with '#' are ignored; every value must be
-    a finite decimal real.
+    Lines are read by core.data_lines; every value must be a finite decimal
+    real.
     """
+    malformed = "malformed vector line {line!r}"
     vectors = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if "_" in line:  # float() reads "1_0" as 10.0
-                    raise ValueError
-                row = [float(field) for field in line.split(",")]
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: malformed vector line {line!r}") from None
-            if not all(math.isfinite(v) for v in row):
-                raise InputError(f"{path}:{lineno}: non-finite value")
-            vectors.append(row)
+    for where, line in data_lines(Path(path), path, malformed):
+        try:
+            row = [float(field) for field in line.split(",")]
+        except ValueError:
+            raise InputError(f"{where}: " + malformed.format(line=line)) from None
+        if not all(math.isfinite(v) for v in row):
+            raise InputError(f"{where}: non-finite value")
+        vectors.append(row)
     if not vectors:
         raise InputError(f"{path}: no vectors found")
     return vectors

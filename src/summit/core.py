@@ -6,11 +6,13 @@ import gc
 import operator
 import sys
 from functools import wraps
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 # numpy is imported inside the functions that call it. The isotope calculator
 # calls none of them, so `import summit` and `top_peaks` run without numpy.
 if TYPE_CHECKING:
+    from importlib.abc import Traversable
+
     import numpy as np
 
 # Saturation bound for the capacity product, so "give me everything" requests
@@ -191,6 +193,30 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]
             raise InputError(f"vector {d} contains a non-finite entry")
         out.append(arr)
     return out
+
+
+def data_lines(file: Traversable, source: str, malformed: str) -> Iterator[tuple[str, str]]:
+    """Each data line of a UTF-8 text file, stripped, with its "source:lineno".
+
+    A leading byte-order mark is skipped. Lines end only at \\n, \\r\\n and
+    \\r, so a form feed or a Unicode line separator stays inside its line.
+    Blank lines and lines starting with '#' are skipped. float() reads "1_0"
+    as 10.0, so a line with a "_" is refused with the message `malformed`,
+    formatted with the line.
+    """
+    try:
+        with file.open(encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise InputError(f"{source}: not UTF-8 text") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{source}:{lineno}"
+        if "_" in line:
+            raise InputError(f"{where}: " + malformed.format(line=line))
+        yield where, line
 
 
 def capacity(lengths: Iterable[int]) -> int:

@@ -24,7 +24,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import InputError, gc_paused
+from .core import InputError, data_lines, gc_paused
 from .tree import select
 from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
 
@@ -59,79 +59,60 @@ class Isotope(NamedTuple):
     abundance: float  # linear probability in (0, 1]
 
 
-class IsotopeTable:
+class IsotopeTable(dict):
     """Isotope lists keyed by element symbol, each sorted by ascending mass."""
 
-    def __init__(self, elements: dict[str, list[Isotope]]):
-        self._elements = elements
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._elements
-
-    def __getitem__(self, symbol: str) -> list[Isotope]:
-        try:
-            return self._elements[symbol]
-        except KeyError:
-            raise InputError(f"element {symbol!r} not in isotope table") from None
-
-    def symbols(self) -> list[str]:
-        return sorted(self._elements)
+    def __missing__(self, symbol: str) -> list[Isotope]:
+        raise InputError(f"element {symbol!r} not in isotope table")
 
 
-def _parse_tsv(text: str, source: str) -> IsotopeTable:
-    elements: dict[str, list[Isotope]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+def _parse_tsv(file, source: str) -> IsotopeTable:
+    malformed = "non-numeric mass or abundance"
+    table = IsotopeTable()
+    for where, line in data_lines(file, source, malformed):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise InputError(
-                f"{source}:{lineno}: expected element<TAB>mass_da<TAB>abundance"
-            )
+            raise InputError(f"{where}: expected element<TAB>mass_da<TAB>abundance")
         symbol = fields[0].strip()
         try:
-            if "_" in fields[1] + fields[2]:  # float() reads "1_0" as 10.0
-                raise ValueError
             mass = float(fields[1])
             abundance = float(fields[2])
         except ValueError:
-            raise InputError(f"{source}:{lineno}: non-numeric mass or abundance") from None
+            raise InputError(f"{where}: {malformed}") from None
         if not 0 < mass < math.inf:  # NaN too
-            raise InputError(f"{source}:{lineno}: isotope mass must be positive and finite")
+            raise InputError(f"{where}: isotope mass must be positive and finite")
         if not 0 < abundance <= 1:
-            raise InputError(f"{source}:{lineno}: abundance must be in (0, 1]")
-        isotopes = elements.setdefault(symbol, [])
+            raise InputError(f"{where}: abundance must be in (0, 1]")
+        isotopes = table.setdefault(symbol, [])
         if any(iso.mass == mass for iso in isotopes):
-            raise InputError(f"{source}:{lineno}: duplicate isotope ({symbol}, {mass})")
+            raise InputError(f"{where}: duplicate isotope ({symbol}, {mass})")
         isotopes.append(Isotope(mass, abundance))
 
-    for symbol, isotopes in elements.items():
+    for symbol, isotopes in table.items():
         isotopes.sort(key=lambda iso: iso.mass)
         total = sum(iso.abundance for iso in isotopes)
         if abs(total - 1.0) > 1e-3:
             raise InputError(f"{source}: abundances for {symbol} sum to {total:.6f}, not 1")
-    if not elements:
+    if not table:
         raise InputError(f"{source}: no isotope rows found")
-    return IsotopeTable(elements)
+    return table
 
 
 def load_isotope_table(path: str | Path) -> IsotopeTable:
     """Load a TSV of `element<TAB>mass_da<TAB>abundance` rows.
 
-    Blank lines and lines starting with '#' are ignored. Masses must be
-    positive and finite, and per element the abundances must sum to 1
-    within 1e-3.
+    Lines are read by core.data_lines. Masses must be positive and finite,
+    and per element the abundances must sum to 1 within 1e-3.
     """
     path = Path(path)
-    return _parse_tsv(path.read_text(encoding="utf-8-sig"), str(path))
+    return _parse_tsv(path, str(path))
 
 
 @lru_cache(maxsize=1)
 def builtin_isotope_table() -> IsotopeTable:
     """The table shipped with the package (H, C, N, O, S, Cl, V, He, Cu, Ga, Ag, Tl, Ne)."""
-    text = resources.files("summit").joinpath("data/isotopes.tsv").read_text("utf-8")
-    return _parse_tsv(text, "builtin isotopes.tsv")
+    return _parse_tsv(resources.files("summit").joinpath("data/isotopes.tsv"),
+                      "builtin isotopes.tsv")
 
 
 def parse_formula(text: str, table: IsotopeTable | None = None) -> list[tuple[str, int]]:

@@ -61,16 +61,17 @@ _new_tuple = tuple.__new__
 class LeafSource:
     """Serves one input vector's values in non-increasing order.
 
+    A leaf holds its input row, never copied, and the sorted prefix:
     ``values`` (also read as ``sorted_values``) and ``permutation`` (to
-    original indices) hold the sorted prefix, in the order a stable full
-    sort would give; ``grow`` extends both lists in place by the next layer.
-    Each layer holds the largest entries not yet in the prefix, ties going
-    to lower original indices, and only the layer is sorted, so a consumer
-    that reads a few entries of a long vector never pays for sorting the
-    rest (the layer-ordered heaps of Serang, arXiv:1910.11993).
+    original indices), in the order a stable full sort would give. ``grow``
+    extends both lists in place by the next layer, cut from the entries the
+    prefix has not taken: the largest of them, ties going to lower original
+    indices. Only the layer is sorted, so a consumer that reads a few
+    entries of a long vector never pays for sorting the rest (the
+    layer-ordered heaps of Serang, arXiv:1910.11993).
     """
 
-    __slots__ = ("values", "indices", "permutation", "_rest", "_rest_index")
+    __slots__ = ("values", "indices", "permutation", "_row")
 
     sorted_values = property(lambda self: self.values)
     cursor = property(lambda self: len(self.indices))
@@ -79,40 +80,31 @@ class LeafSource:
         self.values: list[float] = []
         self.indices: list[tuple[int]] = []
         self.permutation: list[int] = []
-        # Entries not yet in the prefix (None once all are) and their
-        # original indices (None while they are all of arr, in order).
-        self._rest: np.ndarray | None = arr
-        self._rest_index: np.ndarray | None = None
+        self._row = arr
         self.grow()
 
     def grow(self) -> bool:
         """Append the next layer to the sorted prefix; False once none is left."""
+        row, taken = self._row, len(self.permutation)
+        if taken == len(row):
+            return False
         import numpy as np
 
-        rest, index = self._rest, self._rest_index
-        if rest is None:
-            return False
-        if index is None and self.permutation:  # the first layer came from leaf_sources
-            keep = np.ones(len(rest), bool)
-            keep[self.permutation] = False
-            rest, index = rest[keep], np.flatnonzero(keep)
-        size = FIRST_LAYER + (LAYER_GROWTH - 1) * len(self.values)
+        keep = np.ones(len(row), bool)
+        keep[self.permutation] = False
+        index = keep.nonzero()[0]
+        rest = row[index]
+        size = FIRST_LAYER + (LAYER_GROWTH - 1) * taken
         if size < len(rest):
             cut = np.partition(rest, len(rest) - size)[len(rest) - size]
             take = rest > cut
             take[np.flatnonzero(rest == cut)[: size - np.count_nonzero(take)]] = True
-            keep = ~take
-            self._rest = rest[keep]
-            self._rest_index = np.flatnonzero(keep) if index is None else index[keep]
-            rest = rest[take]
-            index = np.flatnonzero(take) if index is None else index[take]
-        else:
-            self._rest = self._rest_index = None
+            rest, index = rest[take], index[take]
         # The layer is in ascending original index order, so the stable sort
         # keeps ties in that order, as across the layer boundaries.
         values, order = sort_descending(rest)
         self.values += values
-        self.permutation += order if index is None else index[order].tolist()
+        self.permutation += index.take(order).tolist()
         return True
 
     def extend(self) -> bool:
@@ -245,9 +237,8 @@ def leaf_sources(vecs) -> list[LeafSource]:
     flat = np.take_along_axis(flat, (-block.take(flat)).argsort(axis=1, kind="stable"), axis=1)
     values, columns = block.take(flat).tolist(), (flat % n).tolist()
     leaves = [LeafSource.__new__(LeafSource) for _ in values]
-    for leaf, row, v, p in zip(leaves, block if width < n else repeat(None), values, columns):
-        leaf.values, leaf.permutation, leaf.indices = v, p, []
-        leaf._rest, leaf._rest_index = row, None
+    for leaf, row, v, p in zip(leaves, block, values, columns):
+        leaf.values, leaf.permutation, leaf.indices, leaf._row = v, p, [], row
     return leaves
 
 

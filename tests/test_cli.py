@@ -65,6 +65,24 @@ class TestTopk:
         assert code == 0
         assert out.splitlines()[0].split("\t")[1:] == ["7.0", "0,0"]
 
+    def test_form_feed_stays_inside_a_comment(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("# built by hand\fpage two\n3,1\n4,2\n")
+        code, out, _ = run_cli(["topk", "--input", str(path), "--k", "1"])
+        assert (code, out) == (0, "1\t7.0\t0,0\n")
+
+    def test_file_not_utf8_exits_3(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"3,1\n4,\xff2\n")
+        assert run_cli(["topk", "--input", str(path), "--k", "1"]) == (
+            3, "", f"error: {path}: not UTF-8 text\n")
+
+    def test_only_comments_exits_3(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("# no data\n\n")
+        assert run_cli(["topk", "--input", str(path), "--k", "1"]) == (
+            3, "", f"error: {path}: no vectors found\n")
+
     def test_non_finite_value_exits_3(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("1,nan\n")
@@ -95,6 +113,11 @@ class TestTopk:
 
     def test_negative_k_exits_2(self, pair_file):
         assert run_cli(["topk", "--input", pair_file, "--k", "-1"])[0] == 2
+
+    def test_non_integer_k_exits_2(self, pair_file):
+        code, out, err = run_cli(["topk", "--input", pair_file, "--k", "abc"])
+        assert (code, out) == (2, "")
+        assert "'abc' is not an integer" in err
 
 
 class TestIsotopes:
@@ -150,6 +173,20 @@ class TestIsotopes:
         )
         assert code == 0
         assert out.splitlines()[0].split("\t")[3] == "F[2]"
+
+    def test_form_feed_stays_inside_a_comment(self, tmp_path):
+        path = tmp_path / "ff.tsv"
+        path.write_text("# built by hand\fpage two\nF\t18.99840322\t1.0\n\n")
+        code, out, _ = run_cli(
+            ["isotopes", "--formula", "F2", "--k", "1", "--data", str(path)]
+        )
+        assert (code, out) == (0, "1\t37.99680644\t1\tF[2]\n")
+
+    def test_data_file_not_utf8_exits_3(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"F\t18.99\xff\t1.0\n")
+        assert run_cli(["isotopes", "--formula", "F2", "--k", "1", "--data", str(path)]) == (
+            3, "", f"error: {path}: not UTF-8 text\n")
 
     def test_non_finite_mass_in_data_file_exits_3(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -209,6 +246,11 @@ class TestBench:
 
     def test_bad_sizes_exit_2(self):
         assert run_cli(["bench", "--sizes", "4,x", "--methods", "tree"])[0] == 2
+
+    def test_size_zero_exits_2(self):
+        code, out, err = run_cli(["bench", "--sizes", "4,0", "--methods", "tree"])
+        assert (code, out) == (2, "")
+        assert "sizes must be positive integers" in err
 
 
 def test_missing_subcommand_exits_2():

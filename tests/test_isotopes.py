@@ -120,7 +120,7 @@ class TestIsotopeTable:
 
     def test_builtin_sorted_by_mass(self):
         table = builtin_isotope_table()
-        for symbol in table.symbols():
+        for symbol in sorted(table):
             masses = [iso.mass for iso in table[symbol]]
             assert masses == sorted(masses)
 
@@ -143,6 +143,32 @@ class TestIsotopeTable:
         path.write_text("C\ttwelve\t0.9\n")
         with pytest.raises(InputError, match="non-numeric"):
             load_isotope_table(path)
+
+    def test_two_field_row_rejected(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# mass only\nC\t12.0\n")
+        with pytest.raises(InputError, match=f"{re.escape(str(path))}:2: expected element"):
+            load_isotope_table(path)
+
+    @pytest.mark.parametrize("abundance", ["0", "1.5"])
+    def test_abundance_outside_unit_interval_rejected(self, tmp_path, abundance):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"C\t12.0\t{abundance}\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}:1: abundance must be in (0, 1]")):
+            load_isotope_table(path)
+
+    def test_only_comments_rejected(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# element\tmass_da\tabundance\n\n")
+        with pytest.raises(InputError, match="no isotope rows found"):
+            load_isotope_table(path)
+
+    def test_table_is_a_dict_that_names_a_missing_symbol(self):
+        table = builtin_isotope_table()
+        assert isinstance(table, dict)
+        assert "Xx" not in table
+        with pytest.raises(InputError, match="element 'Xx' not in isotope table"):
+            table["Xx"]
 
     def test_abundance_sum_violation(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -176,13 +202,13 @@ class TestIsotopeTable:
         path = tmp_path / "t.tsv"
         path.write_text("H\t1.00782503207\t0.9999\nH\t2.0141017778\t0.0001\n",
                         encoding="utf-8-sig")
-        assert load_isotope_table(path).symbols() == ["H"]
+        assert sorted(load_isotope_table(path)) == ["H"]
 
     def test_byte_order_mark_before_a_comment(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("# element\tmass_da\tabundance\nF\t18.99840322\t1.0\n",
                         encoding="utf-8-sig")
-        assert load_isotope_table(path).symbols() == ["F"]
+        assert sorted(load_isotope_table(path)) == ["F"]
 
 
 class TestExpandElement:
@@ -369,7 +395,7 @@ def drain_against_enumeration(symbol, count, table):
 
 
 class TestElementSource:
-    @pytest.mark.parametrize("symbol", builtin_isotope_table().symbols())
+    @pytest.mark.parametrize("symbol", sorted(builtin_isotope_table()))
     def test_builtin_elements_match_full_enumeration(self, symbol):
         table = builtin_isotope_table()
         for count in range(1, 31):
@@ -418,7 +444,7 @@ def rederive(formula, peak):
 
 
 formulas = st.lists(
-    st.tuples(st.sampled_from(builtin_isotope_table().symbols()), st.integers(1, 40)),
+    st.tuples(st.sampled_from(sorted(builtin_isotope_table())), st.integers(1, 40)),
     min_size=1,
     max_size=5,
     unique_by=lambda pair: pair[0],
