@@ -40,8 +40,10 @@ LOOKAHEAD_CAP = 100_000
 
 _MAX_COUNT = 2**31 - 1
 _MAX_COUNT_DIGITS = len(str(_MAX_COUNT))
-# One element run of a formula: a symbol, then an optional count.
-_ELEMENT = re.compile(r"([A-Z][a-z]?)([0-9]*)")
+# An element symbol, and one element run of a formula: a symbol, then an
+# optional count.
+_SYMBOL = re.compile("[A-Z][a-z]?")
+_ELEMENT = re.compile(f"({_SYMBOL.pattern})([0-9]*)")
 
 _new_tuple = tuple.__new__
 
@@ -74,6 +76,9 @@ def _parse_tsv(file, source: str) -> IsotopeTable:
         if len(fields) != 3:
             raise InputError(f"{where}: expected element<TAB>mass_da<TAB>abundance")
         symbol = fields[0].strip()
+        if not _SYMBOL.fullmatch(symbol):
+            raise InputError(f"{where}: element symbol {symbol!r} is not an uppercase letter "
+                             "optionally followed by a lowercase letter")
         try:
             mass = float(fields[1])
             abundance = float(fields[2])
@@ -101,8 +106,9 @@ def _parse_tsv(file, source: str) -> IsotopeTable:
 def load_isotope_table(path: str | Path) -> IsotopeTable:
     """Load a TSV of `element<TAB>mass_da<TAB>abundance` rows.
 
-    Lines are read by core.data_lines. Masses must be positive and finite,
-    and per element the abundances must sum to 1 within 1e-3.
+    Lines are read by core.data_lines. Symbols must be ones a formula can
+    name (parse_formula's `[A-Z][a-z]?`), masses positive and finite, and
+    per element the abundances must sum to 1 within 1e-3.
     """
     path = Path(path)
     return _parse_tsv(path, str(path))

@@ -90,21 +90,26 @@ class LeafSource:
             return False
         import numpy as np
 
-        keep = np.ones(len(row), bool)
-        keep[self.permutation] = False
-        index = keep.nonzero()[0]
-        rest = row[index]
+        # The first layer is cut from the row itself, whose positions are
+        # already original indices; later ones mask the prefix out first.
+        rest, index = row, None
+        if taken:
+            keep = np.ones(len(row), bool)
+            keep[self.permutation] = False
+            index = keep.nonzero()[0]
+            rest = row[index]
         size = FIRST_LAYER + (LAYER_GROWTH - 1) * taken
         if size < len(rest):
             cut = np.partition(rest, len(rest) - size)[len(rest) - size]
             take = rest > cut
             take[np.flatnonzero(rest == cut)[: size - np.count_nonzero(take)]] = True
-            rest, index = rest[take], index[take]
+            index = take.nonzero()[0] if index is None else index[take]
+            rest = row[index]
         # The layer is in ascending original index order, so the stable sort
         # keeps ties in that order, as across the layer boundaries.
         values, order = sort_descending(rest)
         self.values += values
-        self.permutation += index.take(order).tolist()
+        self.permutation += order if index is None else index.take(order).tolist()
         return True
 
     def extend(self) -> bool:

@@ -197,6 +197,15 @@ class TestIsotopes:
         assert (code, out) == (3, "")
         assert f"{path}:1: isotope mass must be positive and finite" in err
 
+    def test_symbol_no_formula_can_name_exits_3(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("h\t1.0\t1.0\n")
+        code, out, err = run_cli(
+            ["isotopes", "--formula", "H2", "--k", "1", "--data", str(path)]
+        )
+        assert (code, out) == (3, "")
+        assert f"{path}:1: element symbol 'h' is not an uppercase letter" in err
+
     def test_unknown_option_exits_2(self):
         code, out, _ = run_cli(
             ["isotopes", "--formula", "C3H8", "--k", "3", "--prune-delta", "1"]

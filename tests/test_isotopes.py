@@ -1,4 +1,5 @@
 import bisect
+import decimal
 import math
 import os
 import re
@@ -191,6 +192,16 @@ class TestIsotopeTable:
         path = tmp_path / "t.tsv"
         path.write_text(f"# comment\n{row}\n")
         with pytest.raises(InputError, match=f"{re.escape(str(path))}:2: non-numeric"):
+            load_isotope_table(path)
+
+    @pytest.mark.parametrize("symbol", ["Cl1", "h", "12"])
+    def test_symbol_no_formula_can_name_rejected(self, tmp_path, symbol):
+        # No formula can name such a symbol, so the row could never be used.
+        path = tmp_path / "t.tsv"
+        path.write_text(f"F\t18.99840322\t1.0\n{symbol}\t1.0\t1.0\n")
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}:2: element symbol {symbol!r} is not an uppercase letter "
+                "optionally followed by a lowercase letter")):
             load_isotope_table(path)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -405,6 +416,24 @@ class TestElementSource:
     def test_tied_abundances_match_full_enumeration(self, symbol, max_count):
         for count in range(1, max_count + 1):
             drain_against_enumeration(symbol, count, TIE_TABLE)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(sorted(builtin_isotope_table())), st.integers(1, 40))
+    def test_values_within_rounding_bound_of_exact(self, symbol, count):
+        # Slack covers the difference of two values' rounding errors four
+        # times over, so each value must lie within slack / 8 of the exact
+        # log abundance of its composition, taken from the table's floats.
+        with decimal.localcontext() as context:
+            context.prec = 50
+            log_p = [decimal.Decimal(iso.abundance).ln()
+                     for iso in builtin_isotope_table()[symbol]]
+            log_fact = [decimal.Decimal(math.factorial(n)).ln() for n in range(count + 1)]
+            source = ElementSource(symbol, count)
+            bound = decimal.Decimal(source._slack) / 8
+            while source.extend():
+                comp = source.compositions[-1]
+                exact = log_fact[count] + sum(k * lp - log_fact[k] for k, lp in zip(comp, log_p))
+                assert abs(decimal.Decimal(source.values[-1]) - exact) <= bound
 
     def test_single_isotope_element(self, tmp_path):
         path = tmp_path / "t.tsv"

@@ -365,18 +365,37 @@ def leaf_input(kind, n, seed):
     return np.array(values)
 
 
+def check_layered_leaf(arr):
+    """A leaf holds the first layer of the stable full sort when built, and
+    all of it once drained, without copying or changing its row."""
+    before = arr.copy()
+    values, permutation = sort_descending(arr)
+    leaf = LeafSource(arr)
+    first = min(len(arr), FIRST_LAYER)
+    # repr tells -0.0 from 0.0, which == does not.
+    assert list(map(repr, leaf.sorted_values)) == list(map(repr, values[:first]))
+    assert leaf.permutation == permutation[:first]
+    while leaf.extend():
+        assert len(leaf.sorted_values) <= FIRST_LAYER + LAYER_GROWTH * leaf.cursor
+    assert leaf.cursor == len(arr)
+    assert list(map(repr, leaf.sorted_values)) == list(map(repr, values))
+    assert leaf.permutation == permutation
+    assert leaf._row is arr
+    assert list(map(repr, arr)) == list(map(repr, before))
+
+
 @pytest.mark.parametrize("kind", ["distinct", "ties", "signed_zeros"])
 @pytest.mark.parametrize("n", LEAF_SIZES)
 def test_layered_leaf_equals_full_sort(kind, n):
-    arr = leaf_input(kind, n, seed=n)
-    leaf = LeafSource(arr)
-    while leaf.extend():
-        assert len(leaf.sorted_values) <= FIRST_LAYER + LAYER_GROWTH * leaf.cursor
-    assert leaf.cursor == n
-    values, permutation = sort_descending(arr)
-    # repr tells -0.0 from 0.0, which == does not.
-    assert list(map(repr, leaf.sorted_values)) == list(map(repr, values))
-    assert leaf.permutation == permutation
+    check_layered_leaf(leaf_input(kind, n, seed=n))
+
+
+def test_first_cut_inside_a_run_of_ties():
+    values = [3.0] * 200 + [2.0] * 100 + [1.0] * 300
+    random.Random(0).shuffle(values)
+    arr = np.array(values)
+    assert sorted(values, reverse=True)[FIRST_LAYER - 1:FIRST_LAYER + 1] == [2.0, 2.0]
+    check_layered_leaf(arr)
 
 
 def test_engines_agree_on_long_tied_vectors():
