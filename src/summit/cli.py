@@ -7,8 +7,8 @@ message to standard error; user input never produces a traceback.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from math import isfinite
 from pathlib import Path
 
 from .bench import ENGINES, run_bench
@@ -30,10 +30,10 @@ def read_vectors_file(path: str) -> list[list[float]]:
     vectors = []
     for where, line in data_lines(Path(path), path, malformed):
         try:
-            row = [float(field) for field in line.split(",")]
+            row = list(map(float, line.split(",")))
         except ValueError:
             raise InputError(f"{where}: " + malformed.format(line=line)) from None
-        if not all(math.isfinite(v) for v in row):
+        if not all(map(isfinite, row)):
             raise InputError(f"{where}: non-finite value")
         vectors.append(row)
     if not vectors:

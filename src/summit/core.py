@@ -135,21 +135,30 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]
 
     Requires at least one vector, every vector nonempty, every entry a finite
     real; text, dates and complex entries are refused, not converted, and so
-    is a masked array with any entry masked. Returns a list of 1-D arrays, or
-    one 2-D array whose rows are the vectors when they convert in one call.
+    is a masked array with any entry masked, which is named ahead of any other
+    fault. Returns one 2-D array whose rows are the vectors when they share a
+    length and hold only finite bools, ints and floats, else 1-D arrays.
     """
     import numpy as np
 
-    # Only numpy.ma makes masked arrays, so while it is not loaded no vector
-    # can be one and the check costs nothing.
-    ma = sys.modules.get("numpy.ma")
     vecs = list(vectors)
     if not vecs:
         raise InputError("need at least one input vector")
+    # np.asarray reads a masked entry's hidden value as data, and the masked
+    # constant in a list or an object array as NaN or an object. Only numpy.ma
+    # makes either, so while it is not loaded there is nothing to check.
+    ma = sys.modules.get("numpy.ma")
+    if ma is not None:
+        for d, vec in enumerate(vecs):
+            if ma.is_masked(vec) or (
+                    isinstance(vec, (list, tuple))
+                    or getattr(vec, "dtype", None) == object and np.ndim(vec) == 1
+            ) and any(x is ma.masked for x in vec):
+                raise InputError(f"vector {d} has masked entries")
     # Equal-length vectors of plain numbers convert as one block. Any other
     # input, and any failure, is left to the loop below and its messages.
     try:
-        if ma is None and len(set(map(len, vecs))) == 1:
+        if len(set(map(len, vecs))) == 1:
             block = np.asarray(vecs)
             if block.ndim == 2 and block.size and block.dtype.kind in "biuf":
                 block = block.astype(float, copy=False)
@@ -159,13 +168,6 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]
         pass
     out = []
     for d, vec in enumerate(vecs):
-        # np.asarray reads a masked entry's hidden value as data, and the
-        # masked constant in a list or an object array as NaN or an object.
-        if ma is not None and (ma.is_masked(vec) or (
-                isinstance(vec, (list, tuple))
-                or getattr(vec, "dtype", None) == object and np.ndim(vec) == 1)
-                and any(x is ma.masked for x in vec)):
-            raise InputError(f"vector {d} has masked entries")
         try:
             arr = np.asarray(vec)
             # Text, dates and complex numbers are not reals, though the float

@@ -49,8 +49,8 @@ class Source(Protocol):
 # within FIRST_LAYER + LAYER_GROWTH * (entries served).
 FIRST_LAYER = 256
 LAYER_GROWTH = 4
-# Equal-length vectors of at most FIRST_LAYER entries start with a first
-# layer of BLOCK_LAYER entries, cut and sorted for all of them at once.
+# The rows of a block from as_float_vectors at most FIRST_LAYER wide start
+# with a first layer of BLOCK_LAYER entries, cut and sorted for all at once.
 BLOCK_LAYER = 8
 # Fringe entry price of a pair node: the key plus the (row, column) pair.
 PAIR_ENTRY_BYTES = 3 * NUMBER_BYTES
@@ -215,34 +215,30 @@ class CartesianSumTree:
 
 
 def leaf_sources(vecs) -> list[LeafSource]:
-    """One LeafSource per vector converted by as_float_vectors.
-
-    Vectors that share a length of at most FIRST_LAYER are stacked, and the
-    first BLOCK_LAYER entries of all of them are cut, by the rule of
-    LeafSource.grow, and sorted in one pass; a leaf sorts the rest of its
-    row on its first grow.
-    """
+    """One LeafSource per vector converted by as_float_vectors. When they came
+    as one 2-D block at most FIRST_LAYER wide, the first BLOCK_LAYER entries of
+    every row are cut, by the rule of LeafSource.grow, and sorted in one pass;
+    a leaf sorts the rest of its row on its first grow."""
     import numpy as np
 
-    n = len(vecs[0])
-    if n > FIRST_LAYER or not isinstance(vecs, np.ndarray) and any(len(v) != n for v in vecs):
+    if not isinstance(vecs, np.ndarray) or vecs.shape[1] > FIRST_LAYER:
         return [LeafSource(a) for a in vecs]
-    block = np.asarray(vecs)
-    m, width = len(block), min(n, BLOCK_LAYER)
-    cut = np.partition(block, n - width, axis=1)[:, n - width, None]
-    take = (block > cut).ravel()
+    m, n = vecs.shape
+    width = min(n, BLOCK_LAYER)
+    cut = np.partition(vecs, n - width, axis=1)[:, n - width, None]
+    take = (vecs > cut).ravel()
     # Of the entries at its cut value, each row takes those with the lowest
     # original indices, as many as its layer has room for.
-    ties = np.flatnonzero(block == cut)
+    ties = np.flatnonzero(vecs == cut)
     rows = ties // n
     rank = np.arange(len(ties)) - np.searchsorted(rows, rows)
     take[ties[rank < width - np.count_nonzero(take.reshape(m, n), axis=1)[rows]]] = True
     # Each row's layer is in original index order, which the stable sort keeps on ties.
     flat = np.flatnonzero(take).reshape(m, width)
-    flat = np.take_along_axis(flat, (-block.take(flat)).argsort(axis=1, kind="stable"), axis=1)
-    values, columns = block.take(flat).tolist(), (flat % n).tolist()
+    flat = np.take_along_axis(flat, (-vecs.take(flat)).argsort(axis=1, kind="stable"), axis=1)
+    values, columns = vecs.take(flat).tolist(), (flat % n).tolist()
     leaves = [LeafSource.__new__(LeafSource) for _ in values]
-    for leaf, row, v, p in zip(leaves, block, values, columns):
+    for leaf, row, v, p in zip(leaves, vecs, values, columns):
         leaf.values, leaf.permutation, leaf.indices, leaf._row = v, p, [], row
     return leaves
 

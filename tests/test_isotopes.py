@@ -10,17 +10,19 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import summit.isotopes
 from summit import (
+    ORACLE_CELL_CAP,
     ElementSource,
     FormulaError,
     IndexedValue,
     InputError,
     Isotope,
     IsotopeTable,
+    brute_force_top_k,
     builtin_isotope_table,
     expand_element,
     load_isotope_table,
@@ -30,6 +32,9 @@ from summit import (
     top_peaks,
     tree_top_k,
 )
+from summit.tree import assemble_tree
+
+from helpers import assert_values_match, check_tree_laziness
 
 
 class TestParseFormula:
@@ -495,6 +500,30 @@ def test_top_peaks_matches_naive_path(formula, k):
         cut = lazy[-1].log_abundance
         assert (Counter(p.configuration for p in lazy if p.log_abundance > cut)
                 == Counter(p.configuration for p in naive if p.log_abundance > cut))
+
+
+@settings(max_examples=200)
+@given(formulas, st.integers(1, 600))
+@example(FAKE_COMPOUND, 600)
+def test_element_trees_stay_lazy(formula, k):
+    # The per-node laziness bound, on the tree top_peaks builds.
+    tree = assemble_tree([ElementSource(symbol, count) for symbol, count in parse_formula(formula)])
+    check_tree_laziness(tree)
+    for _ in range(k):
+        if not tree.root.extend():
+            break
+        check_tree_laziness(tree)
+
+
+@settings(max_examples=60)
+@given(formulas, st.integers(1, 600))
+def test_top_peaks_matches_the_oracle(formula, k):
+    # A reference that shares no heap code with top_peaks: full enumeration
+    # of the naive expansions.
+    expanded = [expand_element(symbol, count) for symbol, count in parse_formula(formula)]
+    assume(math.prod(map(len, expanded)) <= ORACLE_CELL_CAP)
+    oracle = brute_force_top_k([vec.log_abundances for vec in expanded], k)
+    assert_values_match([p.log_abundance for p in top_peaks(formula, k)], oracle.values)
 
 
 def test_huge_element_no_longer_hits_the_cap():

@@ -1,0 +1,86 @@
+"""Exact CLI outputs, pinned row by row, line by line or by SHA-256.
+
+Every expected value here is the output of the code that first produced it;
+a change that alters one is a change of output, not of tolerance.
+"""
+
+import hashlib
+
+import pytest
+
+from helpers import run_cli
+
+# The three most abundant peaks of C3H8, exactly as `summit isotopes` prints
+# them: every row of the element walk's output is pinned, not just the count.
+PROPANE_ROWS = (
+    "1\t44.0626002566\t0.967174572331\tC[3,0];H[8,0]\n"
+    "2\t45.0659550944\t0.03167858486\tC[2,1];H[8,0]\n"
+    "3\t45.0688770023\t0.000773817039569\tC[3,0];H[7,1]\n"
+)
+
+TIED = "2,0,2,1,2,0\n1,1,0,1,1,1\n0,2,2,2,0,2\n"
+TIED12 = ("2,0,2,1,2,0,1,2,2,0,1,2\n1,1,0,1,1,1,2,0,1,1,0,1\n"
+          "0,2,2,2,0,2,1,1,2,0,2,2\n")
+# Two 300-entry tied rows.
+LAYERED = (",".join(str(i * i % 7) for i in range(300)) + "\n"
+           + ",".join(str(i * 3 % 5) for i in range(300)) + "\n")
+# A 300-entry tied row, a 9-entry and a 1-entry row.
+RAGGED = ",".join(str(i * i % 7) for i in range(300)) + "\n3,1,4,1,5,9,2,6,5\n7\n"
+
+
+def topk(tmp_path, text, *args):
+    path = tmp_path / "vectors.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["topk", "--input", str(path), *args])
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_propane_rows():
+    code, out, err = run_cli(["isotopes", "--formula", "C3H8", "--k", "3"])
+    assert (code, out, err) == (0, PROPANE_ROWS, "")
+
+
+def test_topk_three_rows(tmp_path):
+    assert len(topk(tmp_path, "3,1\n4,2\n", "--k", "3").splitlines()) == 3
+
+
+def test_singles_counters(tmp_path):
+    # Five one-entry vectors reach their peak fringe while the tree is built,
+    # so the counters line pins that the build samples it.
+    out = topk(tmp_path, "1\n2\n3\n4\n5\n", "--k", "1", "--counters")
+    assert out.splitlines()[-1] == "# pushes=4 pops=4 peak_fringe=2"
+
+
+# Tied, equal-length rows are converted and their leaves' first layers cut as
+# one block, whether or not numpy.ma is loaded. The 6-entry rows fit in that
+# layer; two of the 12-entry rows' leaves serve past it (10, 7 and 10 entries).
+@pytest.mark.parametrize("text,k,tail", [
+    (TIED, "40", ["40\t5.0\t2,4,2", "# pushes=64 pops=53 peak_fringe=11"]),
+    (TIED12, "200", ["200\t5.0\t7,3,10", "# pushes=245 pops=228 peak_fringe=17"]),
+], ids=["tied", "tied12"])
+def test_tied_block_counters(tmp_path, text, k, tail, ma_loaded):
+    assert topk(tmp_path, text, "--k", k, "--counters").splitlines()[-2:] == tail
+
+
+# No benchmark workload serves a leaf past its first layer. The layered rows
+# are served far past it by both engines, so the full outputs pin every later
+# layer cut (last lines: tree 60000 3.0 113,299 / pushes=60240 pops=60000
+# peak_fringe=284, tensor 60000 3.0 210,86 / pushes=60426 pops=60000
+# peak_fringe=576). Ragged rows are not stacked: each leaf is cut from its own
+# row, first layer and later ones alike, and both engines drain the 2700
+# cells (last lines: 2700 8.0 294,3,0, then tree pushes=5400 pops=5400
+# peak_fringe=8, tensor pushes=2700 pops=2700 peak_fringe=302).
+@pytest.mark.parametrize("text,args,digest", [
+    (LAYERED, ["--k", "60000", "--counters"],
+     "e40c83c2f00399900a61f268c86ac82bb4dc18e536ff7264f0ac4b92e2e96cc3"),
+    (LAYERED, ["--k", "60000", "--counters", "--method", "tensor"],
+     "ea4971f9441847750b947637d7494bea04d3e1cdebc14b1e3aa71b36c5997032"),
+    (RAGGED, ["--k", "3000", "--counters", "--method", "tree"],
+     "c4cb04c33fd542821109e588a36f0cc1abe499d3d9ba06d82d6c602130ba6573"),
+    (RAGGED, ["--k", "3000", "--counters", "--method", "tensor"],
+     "98e486adc80156b454ce4deed724cde57a225c7124559bd6351af6eee61c75e7"),
+], ids=["layered-tree", "layered-tensor", "ragged-tree", "ragged-tensor"])
+def test_layered_output_hashes(tmp_path, text, args, digest):
+    out = topk(tmp_path, text, *args)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

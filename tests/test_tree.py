@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -433,23 +432,28 @@ def test_block_leaves_equal_full_sort(kind, n, m):
         assert leaf.permutation == permutation
 
 
-@pytest.fixture(params=[True, False], ids=["numpy.ma loaded", "numpy.ma not loaded"])
-def ma_loaded(request, monkeypatch):
-    """Runs a test with and without numpy.ma in sys.modules: as_float_vectors
-    converts equal-length input in one call only while it is not loaded."""
-    if not request.param:
-        monkeypatch.delitem(sys.modules, "numpy.ma")
-    return request.param
-
-
 def per_row_leaves(vectors):
     return [LeafSource(np.asarray(v, dtype=float)) for v in vectors]
 
 
 def test_equal_length_input_converts_as_one_block(ma_loaded):
     vecs = as_float_vectors([[1, 2.5], [3.0, True]])
-    assert isinstance(vecs, np.ndarray) != ma_loaded
-    assert [v.tolist() for v in vecs] == [[1.0, 2.5], [3.0, 1.0]]
+    assert isinstance(vecs, np.ndarray) and vecs.shape == (2, 2)
+    assert vecs.tolist() == [[1.0, 2.5], [3.0, 1.0]]
+
+
+def test_unmasked_masked_arrays_convert_as_one_block():
+    vecs = as_float_vectors([np.ma.array([1.0, 2.5], mask=[False, False]),
+                             np.ma.array([3.0, 4.0])])
+    assert type(vecs) is np.ndarray and vecs.tolist() == [[1.0, 2.5], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+def test_masked_entries_named_before_an_earlier_fault(engine):
+    # Masked entries are refused before any vector is converted, so the
+    # masked vector is named although vector 0 is text.
+    with pytest.raises(InputError, match="^vector 1 has masked entries$"):
+        engine([["x"], np.ma.array([1.0], mask=[True])], 1)
 
 
 EQUAL_LENGTH = {
