@@ -92,11 +92,13 @@ def cmd_isotopes(args: argparse.Namespace) -> int:
     counts = parse_formula(args.formula, table)
     peaks = top_peaks(args.formula, args.k, table)
     out = sys.stdout
+    # Peaks share few compositions per element, so each label is built once.
+    labels = [{} for _ in counts]
     for rank, peak in enumerate(peaks, 1):
-        config = ";".join(
-            f"{symbol}[{','.join(str(c) for c in comp)}]"
-            for (symbol, _), comp in zip(counts, peak.configuration)
-        )
+        config = ";".join([
+            cache.get(comp) or cache.setdefault(comp, f"{symbol}[{','.join(map(str, comp))}]")
+            for (symbol, _), cache, comp in zip(counts, labels, peak.configuration)
+        ])
         out.write(f"{rank}\t{peak.mass:.12g}\t{peak.abundance:.12g}\t{config}\n")
     return EXIT_OK
 

@@ -4,14 +4,16 @@ The tensor of sums is never materialized. The frontier of candidate position
 tuples is a bare ``heapq`` list of ``(-sum, push number, position)``
 entries, so ties pop in push order and positions are never compared; popping
 a tuple pushes its in-bounds, not yet seen successors, at most one per
-dimension. A cell is reachable from up to m predecessors, so an explicit
-visited set keyed on the position tuple keeps each cell from entering the
-frontier twice.
+dimension. The top is read in place and its first successor replaces it,
+one sift instead of two; unique push numbers order all entries, so the pop
+order does not depend on the heap's layout. A cell is reachable from up to m
+predecessors, so an explicit visited set keyed on the position tuple keeps
+each cell from entering the frontier twice.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from math import isfinite
 from operator import getitem
 
@@ -52,35 +54,44 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
     key = sum(axis[0] for axis in sorted_axes)
     if not isfinite(key):
         raise SumOverflowError()
-    # Every visited cell is pushed exactly once, so len(visited) is the run's
-    # push count and numbers each entry; the fringe only grows between pops,
-    # so its peak is taken once per pop.
+    # Every visited cell is pushed exactly once, so the push count numbers
+    # each entry and ends equal to len(visited); the fringe only grows
+    # between pops, so its peak is taken once per pop.
     fringe = [(-key, 1, origin)]
     visited = {origin}
-    peak = 1
+    pushes = peak = 1
 
     dims = range(m)
     values: list[float] = []
     index_tuples: list[tuple[int, ...]] = []
     while len(values) < want:
-        neg_key, _, pos = heappop(fringe)
+        # The top stays in place until its first successor replaces it.
+        neg_key, _, pos = fringe[0]
         values.append(-neg_key)
         index_tuples.append(tuple(map(getitem, perms, pos)))
+        put = heapreplace
+        cell = list(pos)
         for d in dims:
             nxt = pos[d] + 1
             if nxt == len(sorted_axes[d]) and not leaves[d].grow():
                 continue
-            succ = pos[:d] + (nxt,) + pos[d + 1 :]
-            if succ in visited:
-                continue
+            cell[d] = nxt
+            succ = tuple(cell)
+            cell[d] = nxt - 1
             visited.add(succ)
+            if len(visited) == pushes:
+                continue
+            pushes += 1
             # Keys are summed fresh per cell (not updated incrementally), so a
             # reported value is bit-identical to re-adding its entries.
             key = sum(map(getitem, sorted_axes, succ))
             if not isfinite(key):
                 raise SumOverflowError()
-            heappush(fringe, (-key, len(visited), succ))
+            put(fringe, (-key, pushes, succ))
+            put = heappush
+        if put is heapreplace:
+            heappop(fringe)
         if len(fringe) > peak:
             peak = len(fringe)
-    counters = InstrumentationCounters(len(visited), want, peak, (1 + m) * NUMBER_BYTES)
+    counters = InstrumentationCounters(pushes, want, peak, (1 + m) * NUMBER_BYTES)
     return TopKResult((), counters, (values, index_tuples))

@@ -10,7 +10,7 @@ and the root serves the full m-vector sum one value at a time.
 from __future__ import annotations
 
 import sys
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import repeat
 from math import isfinite
 from typing import TYPE_CHECKING, Iterator, Protocol
@@ -127,9 +127,10 @@ class PairNode:
     are positions in the children's own ``values`` and ``indices``, and
     ``seq`` is the shared counters' push number, so ties pop in push order.
     Popping (i, j) pushes (i+1, j) always and (i, j+1) only from row zero,
-    which covers every cell exactly once with no visited set. A child is
-    extended only when a successor needs an entry it has not served yet, so
-    the entries realized per child never exceed pops + 1.
+    which covers every cell exactly once with no visited set. The first
+    successor replaces the top in one sift, as in the tensor engine. A
+    child is extended only when a successor needs an entry it has not
+    served yet, so the entries realized per child never exceed pops + 1.
     """
 
     __slots__ = ("left", "right", "values", "indices", "fringe", "_counters")
@@ -161,23 +162,25 @@ class PairNode:
         fringe = self.fringe
         if not fringe:
             return False
-        neg_key, _, i, j = heappop(fringe)
+        neg_key, _, i, j = fringe[0]
         c = self._counters
         c.heap_pops += 1
         left, right = self.left, self.right
         li, ri = left.indices, right.indices
         self.values.append(-neg_key)
         self.indices.append(li[i] + ri[j])
-        # The successors, (i+1, j) and then (0, j+1) from row zero, are
-        # pushed inline: this is the engine's hot path.
+        # The successors, (i+1, j) and then (0, j+1) from row zero, are pushed
+        # inline, the first in place of the top: this is the engine's hot path.
         lv, rv = left.values, right.values
+        put = heapreplace
         i += 1
         if i < len(li) or left.extend():
             key = lv[i] + rv[j]
             if not isfinite(key):
                 raise SumOverflowError()
             c.heap_pushes += 1
-            heappush(fringe, (-key, c.heap_pushes, i, j))
+            put(fringe, (-key, c.heap_pushes, i, j))
+            put = heappush
         if i == 1:
             j += 1
             if j < len(ri) or right.extend():
@@ -185,7 +188,10 @@ class PairNode:
                 if not isfinite(key):
                     raise SumOverflowError()
                 c.heap_pushes += 1
-                heappush(fringe, (-key, c.heap_pushes, 0, j))
+                put(fringe, (-key, c.heap_pushes, 0, j))
+                put = heappush
+        if put is heapreplace:
+            heappop(fringe)
         # Each child pop above is followed by a push here, so the run's live
         # count peaks when this call returns: sample it once, as the tensor does.
         live = c.heap_pushes - c.heap_pops

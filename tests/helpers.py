@@ -57,11 +57,34 @@ def pair_nodes(tree):
 
 
 def check_tree_laziness(tree):
-    """Realized-per-child and fringe size never exceed pops-from-node + 1."""
+    """Every pair node has asked each child for exactly the entries its cells
+    need, and its fringe holds at most pops-from-node + 1 entries.
+
+    A child's realized count must equal 1 + the largest position of that
+    child referenced by the node's popped cells and its fringe cells. Popped
+    cells are recovered from the node's index tuples, whose left and right
+    parts are distinct within their child, so an eager child shows even
+    when it stays within pops + 1.
+    """
     for node in pair_nodes(tree):
-        assert len(node.realized_left) <= node.pops + 1
-        assert len(node.realized_right) <= node.pops + 1
+        left, right = node.realized_left, node.realized_right
+        split = len(left[0])
+        assert len(left) == 1 + _largest_position(
+            left, [i for _, _, i, _ in node.fringe], (t[:split] for t in node.indices))
+        assert len(right) == 1 + _largest_position(
+            right, [j for _, _, _, j in node.fringe], (t[split:] for t in node.indices))
         assert len(node.fringe) <= node.pops + 1
+
+
+def _largest_position(realized, fringe_positions, popped_parts):
+    """The largest position in realized that the given fringe positions and
+    popped index tuple parts reference. The popped parts are looked up only
+    when the fringe does not already reach the last realized entry."""
+    largest = max(fringe_positions, default=-1)
+    if largest >= len(realized) - 1:
+        return largest
+    at = dict(zip(realized, range(len(realized))))
+    return max([largest, *map(at.__getitem__, popped_parts)])
 
 
 def run_cli(argv):

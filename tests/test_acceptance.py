@@ -125,7 +125,7 @@ def test_c2_tree_laziness():
         assert tree.counters.heap_pops == sum(node.pops for node in nodes)
         assert tree.counters.peak_fringe_entries <= 2 * tree.counters.heap_pops + m
     assert nodes_checked > 100
-    _report(2, "laziness: realized and fringe within pops+1 at every node")
+    _report(2, "laziness: each child realized exactly what its node references")
 
 
 def test_c3_isotope_correctness():

@@ -84,3 +84,15 @@ def test_tied_block_counters(tmp_path, text, k, tail, ma_loaded):
 def test_layered_output_hashes(tmp_path, text, args, digest):
     out = topk(tmp_path, text, *args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The paper's fake compound at k=512: 512 rows, each labelled with all 13
+# element compositions, so the digest pins every configuration label.
+FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
+
+
+def test_fake_compound_rows_hash():
+    code, out, err = run_cli(["isotopes", "--formula", FAKE_COMPOUND, "--k", "512"])
+    assert (code, err, len(out.splitlines())) == (0, "", 512)
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "b07236b0ee181e8f6f8c6a6e59172d87cd7b3648a9de0c9a07e69e0a7ef57bcb")

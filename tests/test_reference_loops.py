@@ -1,0 +1,161 @@
+"""Both heap engines against their earlier pop loops, kept here as references.
+
+The engines now peek at the fringe's top and replace it with the first
+successor, and the tensor builds each successor from one list and hashes it
+once. The arithmetic is unchanged, so values (compared by ``float.hex``),
+index tuples and every counter must equal those of the loops below, which
+pop first, build successors from slices and test the visited set with
+``in`` before adding. The inputs are small integers, so ties are everywhere
+and any change in tie order shows.
+"""
+
+import math
+from heapq import heappop, heappush
+from math import isfinite
+from operator import getitem
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from summit import (
+    InstrumentationCounters,
+    PairNode,
+    SumOverflowError,
+    TopKResult,
+    tensor_top_k,
+    top_peaks,
+    tree_top_k,
+)
+from summit.core import NUMBER_BYTES, as_float_vectors, capacity, normalize_k
+from summit.tree import leaf_sources
+
+MAX_CELLS = 3000
+MAX_LENGTH = 300  # past FIRST_LAYER, so a lone vector's leaf grows a layer
+
+
+def reference_tensor_top_k(vectors, k: int) -> TopKResult:
+    """The tensor engine's loop as it was: heappop first, successors from
+    slices, then ``in`` before ``add``."""
+    axes = as_float_vectors(vectors)
+    want = normalize_k(k, capacity(len(a) for a in axes))
+    if want == 0:
+        return TopKResult([], InstrumentationCounters())
+    m = len(axes)
+    leaves = leaf_sources(axes)
+    sorted_axes = [leaf.values for leaf in leaves]
+    perms = [leaf.permutation for leaf in leaves]
+    origin = (0,) * m
+    key = sum(axis[0] for axis in sorted_axes)
+    if not isfinite(key):
+        raise SumOverflowError()
+    fringe = [(-key, 1, origin)]
+    visited = {origin}
+    peak = 1
+    values, index_tuples = [], []
+    while len(values) < want:
+        neg_key, _, pos = heappop(fringe)
+        values.append(-neg_key)
+        index_tuples.append(tuple(map(getitem, perms, pos)))
+        for d in range(m):
+            nxt = pos[d] + 1
+            if nxt == len(sorted_axes[d]) and not leaves[d].grow():
+                continue
+            succ = pos[:d] + (nxt,) + pos[d + 1 :]
+            if succ in visited:
+                continue
+            visited.add(succ)
+            key = sum(map(getitem, sorted_axes, succ))
+            if not isfinite(key):
+                raise SumOverflowError()
+            heappush(fringe, (-key, len(visited), succ))
+        if len(fringe) > peak:
+            peak = len(fringe)
+    counters = InstrumentationCounters(len(visited), want, peak, (1 + m) * NUMBER_BYTES)
+    return TopKResult((), counters, (values, index_tuples))
+
+
+def reference_extend(self) -> bool:
+    """``PairNode.extend`` as it was: heappop first, then one heappush per
+    successor."""
+    fringe = self.fringe
+    if not fringe:
+        return False
+    neg_key, _, i, j = heappop(fringe)
+    c = self._counters
+    c.heap_pops += 1
+    left, right = self.left, self.right
+    li, ri = left.indices, right.indices
+    self.values.append(-neg_key)
+    self.indices.append(li[i] + ri[j])
+    lv, rv = left.values, right.values
+    i += 1
+    if i < len(li) or left.extend():
+        key = lv[i] + rv[j]
+        if not isfinite(key):
+            raise SumOverflowError()
+        c.heap_pushes += 1
+        heappush(fringe, (-key, c.heap_pushes, i, j))
+    if i == 1:
+        j += 1
+        if j < len(ri) or right.extend():
+            key = lv[0] + rv[j]
+            if not isfinite(key):
+                raise SumOverflowError()
+            c.heap_pushes += 1
+            heappush(fringe, (-key, c.heap_pushes, 0, j))
+    live = c.heap_pushes - c.heap_pops
+    if live > c.peak_fringe_entries:
+        c.peak_fringe_entries = live
+    return True
+
+
+def reference_tree_top_k(vectors, k: int) -> TopKResult:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PairNode, "extend", reference_extend)
+        return tree_top_k(vectors, k)
+
+
+def assert_same_run(result, reference):
+    assert [v.hex() for v in result.values] == [v.hex() for v in reference.values]
+    assert result.index_tuples == reference.index_tuples
+    assert result.counters == reference.counters
+
+
+@st.composite
+def tied_instances(draw):
+    """m from 1 to 6 vectors of small integers, equal-length or ragged, and
+    k up to the cell count + 2."""
+    m = draw(st.integers(1, 6))
+    longest = min(MAX_LENGTH, int(MAX_CELLS ** (1 / m)))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, longest))] * m
+    else:
+        sizes = draw(st.lists(st.integers(1, longest), min_size=m, max_size=m))
+    values = st.integers(-3, 3)
+    vectors = [draw(st.lists(values, min_size=n, max_size=n)) for n in sizes]
+    k = draw(st.integers(0, math.prod(sizes) + 2))
+    return vectors, k
+
+
+@settings(max_examples=150)
+@given(tied_instances())
+def test_tensor_matches_its_reference_loop(case):
+    vectors, k = case
+    assert_same_run(tensor_top_k(vectors, k), reference_tensor_top_k(vectors, k))
+
+
+@settings(max_examples=150)
+@given(tied_instances())
+def test_pair_node_matches_its_reference_loop(case):
+    vectors, k = case
+    assert_same_run(tree_top_k(vectors, k), reference_tree_top_k(vectors, k))
+
+
+def test_element_trees_match_the_reference_loop():
+    # Pair nodes over element sources, as top_peaks builds them.
+    formula = "C254H377N65O75S6"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PairNode, "extend", reference_extend)
+        reference = top_peaks(formula, 512)
+    assert repr(top_peaks(formula, 512)) == repr(reference)
