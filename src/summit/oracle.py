@@ -34,9 +34,9 @@ def brute_force_top_k(vectors, k: int) -> TopKResult:
     axes = as_float_vectors(vectors)
     cells = capacity(len(a) for a in axes)
     if cells > ORACLE_CELL_CAP:
-        raise InputError(
-            f"instance too large for oracle: {cells} cells exceed cap {ORACLE_CELL_CAP}"
-        )
+        # capacity stops counting at CAPACITY_LIMIT, so cells may fall short
+        # of the true count: the message names only the cap.
+        raise InputError(f"instance too large for oracle: more than {ORACLE_CELL_CAP} cells")
     want = normalize_k(k, cells)
     counters = InstrumentationCounters()
     if want == 0:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -85,6 +86,23 @@ def test_run_bench_deterministic_except_wall():
     a = run_bench([6], ["tree", "tensor"], seed=7)
     b = run_bench([6], ["tree", "tensor"], seed=7)
     assert strip(a) == strip(b)
+
+
+def test_run_bench_times_a_warm_call(monkeypatch):
+    # A first call that pays a one-off cost, as numpy's import does, is
+    # made untimed; the row times the second call on the same instance.
+    calls = []
+
+    def cold_start(vectors, k):
+        if not calls:
+            time.sleep(0.5)
+        calls.append(vectors)
+        return tree_top_k(vectors, k)
+
+    monkeypatch.setitem(ENGINES, "cold_start", cold_start)
+    [row] = run_bench([4], ["cold_start"], seed=3)
+    assert row["wall_seconds"] < 0.25
+    assert len(calls) == 2 and calls[0] is calls[1]
 
 
 def test_run_bench_unknown_method():
