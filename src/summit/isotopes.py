@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import re
 from functools import lru_cache
 from importlib import resources
@@ -188,6 +189,21 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _element_isotopes(symbol: str, count: int,
+                      table: IsotopeTable | None) -> tuple[list[Isotope], int]:
+    """The isotopes of `symbol`, and `count` as an int: an integer >= 1, not a bool."""
+    isotopes = (builtin_isotope_table() if table is None else table)[symbol]
+    try:
+        if isinstance(count, bool):
+            raise TypeError
+        count = operator.index(count)
+    except TypeError:
+        raise InputError(f"atom count must be an integer, got {count!r}") from None
+    if count < 1:
+        raise InputError(f"atom count must be >= 1, got {count}")
+    return isotopes, count
+
+
 def expand_element(symbol: str, count: int,
                    table: IsotopeTable | None = None) -> IsotopologueVector:
     """Multinomial expansion of one element: every composition gets a log
@@ -198,10 +214,7 @@ def expand_element(symbol: str, count: int,
     tested against: plain enumeration, refused beyond EXPANSION_CAP. Output
     order is unspecified; the selection engines sort anyway.
     """
-    tbl = builtin_isotope_table() if table is None else table
-    isotopes = tbl[symbol]
-    if count < 1:
-        raise InputError(f"atom count must be >= 1, got {count}")
+    isotopes, count = _element_isotopes(symbol, count, table)
     e = len(isotopes)
     n_configs = math.comb(count + e - 1, e - 1)
     if n_configs > EXPANSION_CAP:
@@ -260,10 +273,7 @@ class ElementSource:
                  "_lg_total", "_slack", "_moves", "_heap", "_seen", "_ahead")
 
     def __init__(self, symbol: str, count: int, table: IsotopeTable | None = None):
-        tbl = builtin_isotope_table() if table is None else table
-        isotopes = tbl[symbol]
-        if count < 1:
-            raise InputError(f"atom count must be >= 1, got {count}")
+        isotopes, count = _element_isotopes(symbol, count, table)
         self.values: list[float] = []
         self.indices: list[tuple[int]] = []
         self.compositions: list[tuple[int, ...]] = []

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -274,16 +275,12 @@ class TestExpandElement:
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
             expand_element("C", 0)
+        for count in (2.5, 2.0, True, "3"):
+            with pytest.raises(InputError, match="atom count must be an integer"):
+                expand_element("C", count)
 
 
 class TestTopPeaks:
-    def test_propane_top_peak(self):
-        peak = top_peaks("C3H8", 1)[0]
-        expected = 0.9892**3 * 0.9999**8
-        assert abs(peak.abundance - expected) <= 1e-12 * expected
-        assert peak.configuration == ((3, 0), (8, 0))
-        assert peak.mass == pytest.approx(3 * 12.0 + 8 * 1.00782503207, rel=1e-12)
-
     def test_peak_is_a_named_tuple_in_field_order(self):
         peak = top_peaks("C3H8", 1)[0]
         assert tuple(peak) == (peak.mass, peak.abundance, peak.log_abundance,
@@ -297,11 +294,6 @@ class TestTopPeaks:
         assert tuple(carbon) == (carbon.mass, carbon.abundance) == (12.0, 0.9892)
         with pytest.raises(AttributeError):
             carbon.abundance = 1.0
-
-    def test_propane_exhaustive_normalizes(self):
-        peaks = top_peaks("C3H8", 4 * 9)
-        assert len(peaks) == 36
-        assert sum(p.abundance for p in peaks) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_isotope_formula(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -452,10 +444,21 @@ class TestElementSource:
     def test_bad_count_and_prune_delta_rejected(self):
         with pytest.raises(InputError):
             ElementSource("C", 0)
+        for count in (2.5, 2.0, True, "3"):
+            with pytest.raises(InputError, match="atom count must be an integer"):
+                ElementSource("C", count)
         with pytest.raises(TypeError, match="prune_delta"):  # the option is gone
             ElementSource("C", 2, prune_delta=1.0)
         with pytest.raises(InputError, match="Xq"):
             ElementSource("Xq", 2)
+
+    def test_numpy_integer_count_yields_int_compositions(self):
+        source = ElementSource("C", np.int64(3))
+        while source.extend():
+            pass
+        expanded = expand_element("C", np.int64(3))
+        for comp in source.compositions + expanded.compositions:
+            assert all(type(c) is int for c in comp), comp
 
 
 def naive_top_peaks(formula, k):

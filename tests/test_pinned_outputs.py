@@ -5,10 +5,16 @@ a change that alters one is a change of output, not of tolerance.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import run_cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The three most abundant peaks of C3H8, exactly as `summit isotopes` prints
 # them: every row of the element walk's output is pinned, not just the count.
@@ -41,8 +47,31 @@ def test_propane_rows():
     assert (code, out, err) == (0, PROPANE_ROWS, "")
 
 
+def run_script(args):
+    """Runs `python args...` from the repository root with src on the path.
+    PYTHONHASHSEED is dropped, so each run draws a fresh hash seed."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONHASHSEED", None)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_topk_three_rows(tmp_path):
-    assert len(topk(tmp_path, "3,1\n4,2\n", "--k", "3").splitlines()) == 3
+    # `python -m summit`, not cli.main in-process: this runs __main__.py.
+    path = tmp_path / "vectors.txt"
+    path.write_text("3,1\n4,2\n")
+    proc = run_script(["-m", "summit", "topk", "--input", str(path), "--k", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3
+
+
+def test_output_hash_digest():
+    # Outputs and counters of all 345 benchmark queries at seeds 1-3, digested
+    # by tools/output_hash.py; a speed change must leave this line as it is.
+    proc = run_script(["tools/output_hash.py"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "345 78c33a3922c741f0976baee25e896cf5c681a6fc6a1673a2115734ece9d02538\n")
 
 
 def test_singles_counters(tmp_path):

@@ -109,28 +109,6 @@ class TestPairNodePops:
         tree.pop_next()
         assert len(tree.root.fringe) <= 2
 
-    def test_realization_stays_lazy_through_random_runs(self):
-        rnd = random.Random(99)
-        for _ in range(25):
-            m = rnd.randint(2, 6)
-            vectors = [[rnd.uniform(-5, 5) for _ in range(rnd.randint(1, 5))] for _ in range(m)]
-            tree = build_tree(vectors)
-            check_tree_laziness(tree)
-            while True:
-                item = tree.pop_next()
-                check_tree_laziness(tree)
-                if item is None:
-                    break
-
-
-def test_matches_tensor_engine_on_random_instances():
-    for seed in range(6):
-        vectors = generate_instance(4, 4, seed)
-        k = 4**3
-        a = tree_top_k(vectors, k)
-        b = tensor_top_k(vectors, k)
-        assert_values_match(a.values, b.values)
-
 
 @pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
 @pytest.mark.parametrize("k", [10**30, 2**63])
