@@ -1,21 +1,24 @@
 """Flat m-dimensional engine: best-first expansion over the implicit sum tensor.
 
-The tensor of sums is never materialized. The frontier of candidate position
-tuples is a bare ``heapq`` list of ``(-sum, push number, position)``
-entries, so ties pop in push order and positions are never compared; popping
-a tuple pushes its in-bounds, not yet seen successors, at most one per
-dimension. The top is read in place and its first successor replaces it,
-one sift instead of two; unique push numbers order all entries, so the pop
-order does not depend on the heap's layout. A cell is reachable from up to m
-predecessors, so an explicit visited set keyed on the position tuple keeps
-each cell from entering the frontier twice.
+The tensor of sums is never materialized. The frontier is a bare ``heapq``
+list of ``(-sum, push number, position, cell number)`` entries, so ties pop
+in push order and no comparison reaches the last two fields; popping a cell
+pushes its in-bounds, not yet seen successors, at most one per dimension.
+The top is read in place and its first successor replaces it, one sift
+instead of two; unique push numbers order all entries, so the pop order does
+not depend on the heap's layout. A cell is reachable from up to m
+predecessors, so a visited set of cell numbers (mixed-radix over the input
+lengths) keeps each cell from entering the frontier twice; a successor's
+position tuple is built, and its key summed from the popped cell's row of
+values, only when it is new.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
+from itertools import accumulate
 from math import isfinite
-from operator import getitem
+from operator import getitem, mul
 
 from .core import (
     NUMBER_BYTES,
@@ -50,15 +53,19 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
     sorted_axes = [leaf.values for leaf in leaves]
     perms = [leaf.permutation for leaf in leaves]
 
-    origin = (0,) * m
-    key = sum(axis[0] for axis in sorted_axes)
+    # Cell numbers are mixed-radix over the full input lengths, never the
+    # served prefixes, which grow: a step along axis d adds strides[d].
+    strides = [1, *accumulate(map(len, axes[:-1]), mul)]
+    # Sums start at -0.0, which leaves every double unchanged; from the int 0,
+    # entries that are all -0.0 would sum to 0.0.
+    key = sum((axis[0] for axis in sorted_axes), -0.0)
     if not isfinite(key):
         raise SumOverflowError()
     # Every visited cell is pushed exactly once, so the push count numbers
     # each entry and ends equal to len(visited); the fringe only grows
     # between pops, so its peak is taken once per pop.
-    fringe = [(-key, 1, origin)]
-    visited = {origin}
+    fringe = [(-key, 1, (0,) * m, 0)]
+    visited = {0}
     pushes = peak = 1
 
     dims = range(m)
@@ -66,28 +73,33 @@ def tensor_top_k(vectors, k: int) -> TopKResult:
     index_tuples: list[tuple[int, ...]] = []
     while len(values) < want:
         # The top stays in place until its first successor replaces it.
-        neg_key, _, pos = fringe[0]
+        neg_key, _, pos, code = fringe[0]
         values.append(-neg_key)
         index_tuples.append(tuple(map(getitem, perms, pos)))
         put = heapreplace
-        cell = list(pos)
+        row = None
         for d in dims:
             nxt = pos[d] + 1
             if nxt == len(sorted_axes[d]) and not leaves[d].grow():
                 continue
-            cell[d] = nxt
-            succ = tuple(cell)
-            cell[d] = nxt - 1
+            succ = code + strides[d]
             visited.add(succ)
             if len(visited) == pushes:
                 continue
             pushes += 1
-            # Keys are summed fresh per cell (not updated incrementally), so a
-            # reported value is bit-identical to re-adding its entries.
-            key = sum(map(getitem, sorted_axes, succ))
+            if row is None:
+                row = list(map(getitem, sorted_axes, pos))
+                cell = list(pos)
+            # Each key is summed fresh from the popped cell's row with entry d
+            # swapped in, so a value is bit-identical to re-adding its entries.
+            row[d] = sorted_axes[d][nxt]
+            key = sum(row, -0.0)
+            row[d] = sorted_axes[d][nxt - 1]
             if not isfinite(key):
                 raise SumOverflowError()
-            put(fringe, (-key, pushes, succ))
+            cell[d] = nxt
+            put(fringe, (-key, pushes, tuple(cell), succ))
+            cell[d] = nxt - 1
             put = heappush
         if put is heapreplace:
             heappop(fringe)

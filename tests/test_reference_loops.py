@@ -1,21 +1,23 @@
 """Both heap engines against their earlier pop loops, kept here as references.
 
 The engines now peek at the fringe's top and replace it with the first
-successor, and the tensor builds each successor from one list and hashes it
-once. The arithmetic is unchanged, so values (compared by ``float.hex``),
-index tuples and every counter must equal those of the loops below, which
-pop first, build successors from slices and test the visited set with
-``in`` before adding. The inputs are small integers, so ties are everywhere
-and any change in tie order shows.
+successor, and the tensor keys its visited set on integer cell numbers and
+sums each new successor from the popped cell's row of values. The arithmetic
+is unchanged, so values (compared by ``float.hex``), index tuples and every
+counter must equal those of the loops below, which pop first, build
+successors from slices, test a visited set of position tuples with ``in``
+before adding and sum each key from the sorted vectors. The inputs are small
+integers, so ties are everywhere and any change in tie order shows.
 """
 
 import math
+import random
 from heapq import heappop, heappush
 from math import isfinite
 from operator import getitem
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summit import (
@@ -46,7 +48,7 @@ def reference_tensor_top_k(vectors, k: int) -> TopKResult:
     sorted_axes = [leaf.values for leaf in leaves]
     perms = [leaf.permutation for leaf in leaves]
     origin = (0,) * m
-    key = sum(axis[0] for axis in sorted_axes)
+    key = sum((axis[0] for axis in sorted_axes), -0.0)
     if not isfinite(key):
         raise SumOverflowError()
     fringe = [(-key, 1, origin)]
@@ -65,7 +67,7 @@ def reference_tensor_top_k(vectors, k: int) -> TopKResult:
             if succ in visited:
                 continue
             visited.add(succ)
-            key = sum(map(getitem, sorted_axes, succ))
+            key = sum(map(getitem, sorted_axes, succ), -0.0)
             if not isfinite(key):
                 raise SumOverflowError()
             heappush(fringe, (-key, len(visited), succ))
@@ -138,8 +140,19 @@ def tied_instances(draw):
     return vectors, k
 
 
+def small_ints(seed, *sizes):
+    rng = random.Random(seed)
+    return [[rng.randint(-3, 3) for _ in range(n)] for n in sizes]
+
+
 @settings(max_examples=150)
 @given(tied_instances())
+# Shapes that tied_instances rarely or never draws: a long axis that grows
+# past FIRST_LAYER, a block whose rows grow past BLOCK_LAYER, and cell
+# numbers past 2**63.
+@example((small_ints(1, 600, 2, 3), 1500))
+@example((small_ints(2, 40, 40, 40), 500))
+@example((small_ints(3, *[2] * 70), 300))
 def test_tensor_matches_its_reference_loop(case):
     vectors, k = case
     assert_same_run(tensor_top_k(vectors, k), reference_tensor_top_k(vectors, k))
