@@ -41,9 +41,21 @@ def read_vectors_file(path: str) -> list[list[float]]:
     return vectors
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) of ASCII digits after an optional "-", else ValueError; int()
+    alone also takes "1_0", "+3", " 3" and "\u0663"."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts from text
+        raise argparse.ArgumentTypeError(f"a value of {len(digits)} digits is too long") from None
+
+
 def _nonnegative_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 0:
@@ -53,7 +65,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _size_list(text: str) -> list[int]:
     try:
-        sizes = [int(field) for field in text.split(",")]
+        sizes = [_ascii_int(field) for field in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers") from None
     if not sizes or any(m < 1 for m in sizes):

@@ -86,9 +86,18 @@ class TestTopk:
         assert run_cli(["topk", "--input", pair_file, "--k", "-1"])[0] == 2
 
     def test_non_integer_k_exits_2(self, pair_file):
-        code, out, err = run_cli(["topk", "--input", pair_file, "--k", "abc"])
+        # int() would read "1_0" as 10 and take a sign, spaces and non-ASCII
+        # digits; the option takes ASCII digits only, as formula counts do.
+        for k in ["abc", "1_0", "+3", " 3", "3 ", "\u0663", ""]:
+            code, out, err = run_cli(["topk", "--input", pair_file, "--k", k])
+            assert (code, out) == (2, ""), k
+            assert f"{k!r} is not an integer" in err
+
+    def test_k_beyond_int_digit_limit_exits_2(self, pair_file):
+        code, out, err = run_cli(["topk", "--input", pair_file, "--k", "9" * 5000])
         assert (code, out) == (2, "")
-        assert "'abc' is not an integer" in err
+        assert "argument --k: a value of 5000 digits is too long" in err
+        assert "9" * 50 not in err
 
 
 class TestIsotopes:
@@ -189,7 +198,10 @@ class TestBench:
         assert "warp" in err
 
     def test_bad_sizes_exit_2(self):
-        assert run_cli(["bench", "--sizes", "4,x", "--methods", "tree"])[0] == 2
+        for sizes in ["4,x", "4,1_0", "+4", "4,\u0663"]:
+            code, _, err = run_cli(["bench", "--sizes", sizes, "--methods", "tree"])
+            assert code == 2
+            assert f"{sizes!r} is not a comma list of integers" in err
 
     def test_size_zero_exits_2(self):
         code, out, err = run_cli(["bench", "--sizes", "4,0", "--methods", "tree"])

@@ -33,7 +33,8 @@ from summit import (
     top_peaks,
     tree_top_k,
 )
-from summit.tree import assemble_tree
+from summit.tensor import tensor_select
+from summit.tree import assemble_tree, select
 
 from helpers import assert_values_match, check_tree_laziness
 
@@ -518,15 +519,37 @@ def test_element_trees_stay_lazy(formula, k):
         check_tree_laziness(tree)
 
 
+def walk_and_select(formula, k):
+    """tensor_select and select, each over fresh ElementSources of formula."""
+    def sources():
+        return [ElementSource(symbol, count) for symbol, count in parse_formula(formula)]
+    return tensor_select(sources(), k), select(sources(), k)
+
+
 @settings(max_examples=60)
 @given(formulas, st.integers(1, 600))
 def test_top_peaks_matches_the_oracle(formula, k):
     # A reference that shares no heap code with top_peaks: full enumeration
-    # of the naive expansions.
+    # of the naive expansions. The tensor walk over the same element sources
+    # must pick the cells that select picks, in the same order.
     expanded = [expand_element(symbol, count) for symbol, count in parse_formula(formula)]
     assume(math.prod(map(len, expanded)) <= ORACLE_CELL_CAP)
     oracle = brute_force_top_k([vec.log_abundances for vec in expanded], k)
     assert_values_match([p.log_abundance for p in top_peaks(formula, k)], oracle.values)
+    walked, selected = walk_and_select(formula, k)
+    assert walked.index_tuples == selected.index_tuples
+    assert_values_match(walked.values, oracle.values)
+
+
+@pytest.mark.parametrize("formula, tolerance", [(FAKE_COMPOUND, 0.0), ("C254H377N65O75S6", 1e-12)])
+def test_tensor_walk_picks_the_cells_select_picks(formula, tolerance):
+    # The tensor over lazy per-element sources is the IsoSpec walk. Its keys
+    # add each cell's entries in another order than the tree's pair nodes,
+    # so on the peptide the values may differ in the last bits.
+    walked, selected = walk_and_select(formula, 512)
+    assert walked.index_tuples == selected.index_tuples
+    assert len(walked.values) == 512
+    assert all(abs(a - b) <= tolerance for a, b in zip(walked.values, selected.values))
 
 
 def test_huge_element_no_longer_hits_the_cap():

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summit import brute_force_top_k, generate_instance, tensor_top_k
+from summit.core import as_float_vectors
+from summit.tensor import tensor_select
+from summit.tree import leaf_sources
 
 from helpers import assert_values_match, assert_well_formed
 
@@ -19,10 +22,15 @@ def test_exact_traffic_on_distinct_value_grid():
 
 
 def test_push_bound_m_k_plus_one():
-    for m, n, k, seed in [(2, 6, 9, 1), (3, 4, 20, 2), (5, 3, 40, 3)]:
-        vectors = generate_instance(m, n, seed)
-        result = tensor_top_k(vectors, k)
+    # One long vector serves exactly pops + 1 entries, the bound below.
+    cases = [(2, 6, 9, 1), (3, 4, 20, 2), (5, 3, 40, 3), (1, 600, 301, 4), (4, 40, 30, 5)]
+    for m, n, k, seed in cases:
+        sources = leaf_sources(as_float_vectors(generate_instance(m, n, seed)))
+        result = tensor_select(sources, k)
         assert result.counters.heap_pushes <= m * k + 1
+        # No source serves more than pops + 1 entries, so no coordinate
+        # exceeds k and cell numbers in radix k + 1 cannot collide.
+        assert all(len(source.indices) <= len(result.values) + 1 for source in sources)
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
