@@ -1,13 +1,14 @@
 """Both heap engines against their earlier pop loops, kept here as references.
 
 The engines now peek at the fringe's top and replace it with the first
-successor, and the tensor keys its visited set on integer cell numbers and
-sums each new successor from the popped cell's row of values. The arithmetic
-is unchanged, so values (compared by ``float.hex``), index tuples and every
-counter must equal those of the loops below, which pop first, build
-successors from slices, test a visited set of position tuples with ``in``
-before adding and sum each key from the sorted vectors. The inputs are small
-integers, so ties are everywhere and any change in tie order shows.
+successor, and the tensor keys its visited set on integer cell numbers, sums
+each new successor from the popped cell's row of values, and pushes entries
+that share the popped cell's position tuple. The arithmetic is unchanged, so
+values (compared by ``float.hex``), index tuples and every counter must equal
+those of the loops below, which pop first, build successors from slices, test
+a visited set of position tuples with ``in`` before adding and sum each key
+from the sorted vectors. The inputs are small integers, so ties are everywhere
+and any change in tie order shows.
 """
 
 import math
@@ -25,6 +26,9 @@ from summit import (
     PairNode,
     SumOverflowError,
     TopKResult,
+    expand_element,
+    generate_instance,
+    parse_formula,
     tensor_top_k,
     top_peaks,
     tree_top_k,
@@ -155,6 +159,24 @@ def small_ints(seed, *sizes):
 @example((small_ints(3, *[2] * 70), 300))
 def test_tensor_matches_its_reference_loop(case):
     vectors, k = case
+    assert_same_run(tensor_top_k(vectors, k), reference_tensor_top_k(vectors, k))
+
+
+FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
+
+
+def fake_compound_expansion():
+    counts = parse_formula(FAKE_COMPOUND)
+    return [expand_element(symbol, n).log_abundances for symbol, n in counts]
+
+
+# tied_instances draws m <= 6; these run the pop loop at m=64 and on the fake
+# compound's ragged expansion (m=13, up to 321,201 entries per vector).
+@pytest.mark.parametrize("build, k", [(lambda: generate_instance(64, 64, 1), 64),
+                                      (fake_compound_expansion, 512)],
+                         ids=["m=n=k=64", "fake-compound"])
+def test_tensor_matches_its_reference_loop_at_large_m(build, k):
+    vectors = build()
     assert_same_run(tensor_top_k(vectors, k), reference_tensor_top_k(vectors, k))
 
 

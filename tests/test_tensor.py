@@ -1,12 +1,13 @@
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summit import brute_force_top_k, generate_instance, tensor_top_k
-from summit.core import as_float_vectors
+from summit import InputError, PairNode, brute_force_top_k, generate_instance, tensor_top_k
+from summit.core import InstrumentationCounters, as_float_vectors
 from summit.tensor import tensor_select
-from summit.tree import leaf_sources
+from summit.tree import leaf_sources, select
 
 from helpers import assert_values_match, assert_well_formed
 
@@ -31,6 +32,25 @@ def test_push_bound_m_k_plus_one():
         # No source serves more than pops + 1 entries, so no coordinate
         # exceeds k and cell numbers in radix k + 1 cannot collide.
         assert all(len(source.indices) <= len(result.values) + 1 for source in sources)
+
+
+@pytest.mark.parametrize("engine", [tensor_select, select])
+def test_no_sources(engine):
+    # Both heap engines refuse an empty source list, unless k=0 asks for nothing.
+    assert engine([], 0).values == []
+    with pytest.raises(InputError, match="need at least one source"):
+        engine([], 3)
+
+
+@pytest.mark.parametrize("pair_first", [True, False])
+def test_sources_must_serve_one_entry_index_tuples(pair_first):
+    # A pair node serves two-entry index tuples; the tensor raises InputError
+    # before its first pop, instead of failing in the loop or joining wrong indices.
+    first, second, third = leaf_sources(as_float_vectors([[3, 1], [2, 0], [5, 4]]))
+    pair = PairNode(first, second, InstrumentationCounters())
+    sources = [pair, third] if pair_first else [third, pair]
+    with pytest.raises(InputError, match="one-entry index tuples"):
+        tensor_select(sources, 3)
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
