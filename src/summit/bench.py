@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
-from .core import InputError, TopKResult
+from .core import InputError, TopKResult, require_int
 from .oracle import brute_force_top_k
 from .tensor import tensor_top_k
 from .tree import tree_top_k
@@ -37,6 +37,7 @@ def generate_instance(m: int, n: int, seed: int) -> list[list[float]]:
     Pure function of (m, n, seed): value (i, j) is mix64 chained over the
     arguments, mapped to ((h >> 11) + 0.5) * 2**-53.
     """
+    m, n, seed = require_int(m, "m"), require_int(n, "n"), require_int(seed, "seed")
     if m < 1 or n < 1:
         raise InputError(f"instance shape must be at least 1x1, got {m}x{n}")
     base = mix64(mix64(mix64(seed & _MASK64) ^ m) ^ n)

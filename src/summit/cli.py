@@ -53,11 +53,15 @@ def _ascii_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"a value of {len(digits)} digits is too long") from None
 
 
-def _nonnegative_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = _ascii_int(text)
+        return _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
@@ -156,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", required=True, type=_size_list,
                          help="comma list of m; each run uses n=m vectors and k=m")
     p_bench.add_argument("--methods", required=True, type=_method_list)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_integer, default=0)
     p_bench.add_argument("--out", default="-", help="CSV path, '-' for stdout")
     p_bench.set_defaults(func=cmd_bench)
     return parser

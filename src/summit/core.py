@@ -231,18 +231,24 @@ def capacity(lengths: Iterable[int]) -> int:
     return total
 
 
+def require_int(value: int, name: str) -> int:
+    """value as an int; a value that is not an integer, or is a bool, is a
+    domain error that names it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
 def normalize_k(k: int, cap: int) -> int:
     """Clamp a requested k to the instance capacity.
 
     A k that is not an integer (bool included) or is negative is a domain
     error.
     """
-    try:
-        if isinstance(k, bool):
-            raise TypeError
-        k = operator.index(k)
-    except TypeError:
-        raise InputError(f"k must be an integer, got {k!r}") from None
+    k = require_int(k, "k")
     if k < 0:
         raise InputError(f"k must be non-negative, got {k}")
     return min(k, cap)

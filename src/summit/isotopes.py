@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import re
 from functools import lru_cache
 from importlib import resources
@@ -25,7 +24,7 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import InputError, data_lines, gc_paused
+from .core import InputError, data_lines, gc_paused, require_int
 from .tree import select
 from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
 
@@ -127,8 +126,11 @@ def parse_formula(text: str, table: IsotopeTable | None = None) -> list[tuple[st
 
     Grammar: (UppercaseLetter LowercaseLetter? Digits?)+ with no parentheses;
     a missing count means 1. Unknown elements, repeats, zero counts, and any
-    character outside the grammar raise FormulaError with a byte offset.
+    character outside the grammar raise FormulaError with a byte offset; a
+    formula that is not a str raises InputError.
     """
+    if not isinstance(text, str):
+        raise InputError(f"formula must be a str, got {type(text).__name__}")
     if not text:
         raise FormulaError("empty formula", 0)
     tbl = builtin_isotope_table() if table is None else table
@@ -193,12 +195,7 @@ def _element_isotopes(symbol: str, count: int,
                       table: IsotopeTable | None) -> tuple[list[Isotope], int]:
     """The isotopes of `symbol`, and `count` as an int: an integer >= 1, not a bool."""
     isotopes = (builtin_isotope_table() if table is None else table)[symbol]
-    try:
-        if isinstance(count, bool):
-            raise TypeError
-        count = operator.index(count)
-    except TypeError:
-        raise InputError(f"atom count must be an integer, got {count!r}") from None
+    count = require_int(count, "atom count")
     if count < 1:
         raise InputError(f"atom count must be >= 1, got {count}")
     return isotopes, count
@@ -290,7 +287,20 @@ class ElementSource:
         scale = 2 * self._lg_total + count * max(-lp for lp in self._log_p)
         self._slack = (3 * e + 5) * scale * 2.0**-50
         self._moves = [(i, j) for i in range(e) for j in range(e) if i != j]
-        mode = self._mode(count, [iso.abundance for iso in isotopes])
+        # The walk starts at a mode. Some mode lies at or above the floors of
+        # count * p (Finucan 1964), and the log-multinomial is a sum of one
+        # concave term per isotope, so handing each of the at most e - 1
+        # remaining atoms to the isotope it adds most log abundance to, the
+        # first on ties, reaches one. A floor that rounding lifts above every
+        # mode only makes the walk explore more: best-first climbs from any start.
+        total = sum(iso.abundance for iso in isotopes)
+        comp = [int(count * iso.abundance / total) for iso in isotopes]
+        gains = [lp - math.log(c + 1) for lp, c in zip(self._log_p, comp)]
+        for _ in range(count - sum(comp)):
+            i = gains.index(max(gains))
+            comp[i] += 1
+            gains[i] = self._log_p[i] - math.log(comp[i] + 1)
+        mode = tuple(comp)
         # Entries are (-key, unexplored, composition, log abundance): at equal
         # keys an explored composition comes first, and compositions are
         # distinct int tuples, so the order is total and deterministic.
@@ -301,32 +311,6 @@ class ElementSource:
 
     def __len__(self) -> int:
         return len(self.compositions)
-
-    def _mode(self, count: int, abundances: list[float]) -> tuple[int, ...]:
-        """A most likely composition, by hill-climbing single-atom moves from
-        the rounded expectation count * p.
-
-        The log-multinomial is M-concave on the simplex, so a composition
-        that no single move improves is a global mode. A move must gain more
-        than a fraction of the slack, so rounding noise on an exact tie
-        cannot make the climb cycle.
-        """
-        total = sum(abundances)
-        comp = [int(count * a / total) for a in abundances]
-        comp[comp.index(max(comp))] += count - sum(comp)
-        log_p = self._log_p
-        while True:
-            best, move = self._slack / 8, None
-            for i, j in self._moves:
-                if comp[i]:
-                    gain = log_p[j] - log_p[i] + math.log(comp[i]) - math.log(comp[j] + 1)
-                    if gain > best:
-                        best, move = gain, (i, j)
-            if move is None:
-                return tuple(comp)
-            i, j = move
-            comp[i] -= 1
-            comp[j] += 1
 
     def _push(self, comp: tuple[int, ...]) -> None:
         lgamma = math.lgamma

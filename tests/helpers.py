@@ -7,6 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from summit import LeafSource, PairNode
 from summit.cli import main
 
+# The paper's fake compound: 13 elements, twelve of them at 800 atoms.
+FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
+
 
 def close(a, b):
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)

@@ -25,14 +25,13 @@ from summit import (
 )
 
 from helpers import (
+    FAKE_COMPOUND,
     assert_values_match,
     assert_well_formed,
     check_tree_laziness,
     pair_nodes,
     run_cli,
 )
-
-FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
 
 ENGINES = (("tensor", tensor_top_k), ("tree", tree_top_k))
 

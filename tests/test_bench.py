@@ -50,6 +50,9 @@ def test_shape_dependence():
 def test_invalid_shape_rejected():
     with pytest.raises(InputError):
         generate_instance(0, 3, seed=1)
+    for args in [(2.5, 3, 1), (2, 3.0, 1), (2, 3, 1.5), (True, 3, 1), (2, True, 1), (2, 3, False)]:
+        with pytest.raises(InputError, match="must be an integer"):
+            generate_instance(*args)
 
 
 def test_measure_oracle_identity():

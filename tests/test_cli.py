@@ -203,6 +203,14 @@ class TestBench:
             assert code == 2
             assert f"{sizes!r} is not a comma list of integers" in err
 
+    def test_bad_seed_exits_2(self):
+        for seed in ["1_0", "+3", " 3", "\u0663"]:
+            code, out, err = run_cli(["bench", "--sizes", "2", "--methods", "tree", "--seed", seed])
+            assert (code, out) == (2, "")
+            assert f"{seed!r} is not an integer" in err
+        code, out, _ = run_cli(["bench", "--sizes", "2", "--methods", "tree", "--seed", "-3"])
+        assert (code, len(out.splitlines())) == (0, 2)
+
     def test_size_zero_exits_2(self):
         code, out, err = run_cli(["bench", "--sizes", "4,0", "--methods", "tree"])
         assert (code, out) == (2, "")

@@ -1,6 +1,6 @@
 """The promises that each engine used to state in its own copy, folded into one
-test per promise and run for every engine it binds: k, the domain refusals
-and the worked examples.
+test per promise and run for every engine it binds: k, the domain refusals,
+the worked examples and agreement with the oracle.
 
 The checks that test_tree.py already runs across engines (k type and size,
 input refusals and conversion, overflow, tie order, pinned counters and the
@@ -15,6 +15,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from summit import (
     InputError,
@@ -26,7 +28,7 @@ from summit import (
     tree_top_k,
 )
 
-from helpers import assert_well_formed
+from helpers import assert_values_match, assert_well_formed
 
 ALL = [tree_top_k, tensor_top_k, brute_force_top_k]
 
@@ -127,3 +129,23 @@ def test_matches_exhaustive_itertools_enumeration(engine):
         result = engine(vectors, cells)
         assert result.values == pytest.approx(expected, rel=1e-9, abs=1e-9)
         assert_well_formed(vectors, result, cells)
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+tied = st.integers(-4, 4).map(float)
+
+
+# The tensor's frontier grows with m, so it draws at most 4 vectors to the tree's 6.
+@pytest.mark.parametrize("engine,max_vectors", [(tree_top_k, 6), (tensor_top_k, 4)],
+                         ids=["tree_top_k", "tensor_top_k"])
+@settings(max_examples=120)
+@given(st.data())
+def test_oracle_equivalence(engine, max_vectors, data):
+    vectors = data.draw(st.lists(st.lists(st.one_of(finite, tied), min_size=1, max_size=5),
+                                 min_size=1, max_size=max_vectors))
+    cells = math.prod(len(v) for v in vectors)
+    k = data.draw(st.integers(0, cells))
+    expected = brute_force_top_k(vectors, k)
+    result = engine(vectors, k)
+    assert_values_match(result.values, expected.values)
+    assert_well_formed(vectors, result, k)

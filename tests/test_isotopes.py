@@ -36,7 +36,7 @@ from summit import (
 from summit.tensor import tensor_select
 from summit.tree import assemble_tree, select
 
-from helpers import assert_values_match, check_tree_laziness
+from helpers import FAKE_COMPOUND, assert_values_match, check_tree_laziness
 
 
 class TestParseFormula:
@@ -83,6 +83,12 @@ class TestParseFormula:
         with pytest.raises(FormulaError):
             parse_formula("")
 
+    def test_non_string_formula(self):
+        for text, kind in [(None, "NoneType"), (b"C3", "bytes"), (123, "int")]:
+            for call in (lambda: parse_formula(text), lambda: top_peaks(text, 3)):
+                with pytest.raises(InputError, match=f"^formula must be a str, got {kind}$"):
+                    call()
+
     def test_count_must_fit_32_bits(self):
         assert parse_formula("C2147483647") == [("C", 2**31 - 1)]
         with pytest.raises(FormulaError):
@@ -103,7 +109,7 @@ class TestParseFormula:
         assert exc.value.offset == 1
 
     def test_fake_compound_parses(self):
-        counts = parse_formula("Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800")
+        counts = parse_formula(FAKE_COMPOUND)
         assert len(counts) == 13
         assert counts[0] == ("Cl", 800)
         assert counts[6] == ("O", 100)
@@ -374,8 +380,6 @@ TIE_TABLE = IsotopeTable({
     "Cc": [Isotope(float(mass), 1 / 6) for mass in range(1, 7)],
 })
 
-FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
-
 
 def drain_against_enumeration(symbol, count, table):
     """Extend an ElementSource until it is dry and compare it with expand_element."""
@@ -432,6 +436,20 @@ class TestElementSource:
                 comp = source.compositions[-1]
                 exact = log_fact[count] + sum(k * lp - log_fact[k] for k, lp in zip(comp, log_p))
                 assert abs(decimal.Decimal(source.values[-1]) - exact) <= bound
+
+    @pytest.mark.parametrize("symbol", sorted(builtin_isotope_table()))
+    def test_start_is_a_mode_far_past_enumerable_counts(self, symbol):
+        # The walk starts at a mode: no single-atom move from its start gains
+        # more than a fraction of the slack. Building a source computes only
+        # that start, so these counts cost nothing.
+        log_p = [math.log(iso.abundance) for iso in builtin_isotope_table()[symbol]]
+        for count in (10**7 + 3, 123_456_789, 10**9 + 7, 2**31 - 1):
+            source = ElementSource(symbol, count)
+            (start,) = source._seen
+            for i, j in source._moves:
+                if start[i]:
+                    gain = log_p[j] - log_p[i] + math.log(start[i]) - math.log(start[j] + 1)
+                    assert gain <= source._slack / 8, (count, start, i, j)
 
     def test_single_isotope_element(self, tmp_path):
         path = tmp_path / "t.tsv"

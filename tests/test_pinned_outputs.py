@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import run_cli
+from helpers import FAKE_COMPOUND, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -117,11 +117,16 @@ def test_layered_output_hashes(tmp_path, text, args, digest):
 
 # The paper's fake compound at k=512: 512 rows, each labelled with all 13
 # element compositions, so the digest pins every configuration label.
-FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
-
-
 def test_fake_compound_rows_hash():
     code, out, err = run_cli(["isotopes", "--formula", FAKE_COMPOUND, "--k", "512"])
     assert (code, err, len(out.splitlines())) == (0, "", 512)
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "b07236b0ee181e8f6f8c6a6e59172d87cd7b3648a9de0c9a07e69e0a7ef57bcb")
+
+
+# Counts far past any that can be enumerated: 10^8 C and 2*10^8 H atoms.
+def test_huge_counts_rows_hash():
+    code, out, err = run_cli(["isotopes", "--formula", "C100000000H200000000", "--k", "16"])
+    assert (code, err, len(out.splitlines())) == (0, "", 16)
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "9440f9565a1cdc62874e32bc57ce40e561917340376d294c2b0d0b2d406242d5")

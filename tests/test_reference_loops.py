@@ -36,6 +36,8 @@ from summit import (
 from summit.core import NUMBER_BYTES, as_float_vectors, capacity, normalize_k
 from summit.tree import leaf_sources
 
+from helpers import FAKE_COMPOUND
+
 MAX_CELLS = 3000
 MAX_LENGTH = 300  # past FIRST_LAYER, so a lone vector's leaf grows a layer
 
@@ -160,9 +162,6 @@ def small_ints(seed, *sizes):
 def test_tensor_matches_its_reference_loop(case):
     vectors, k = case
     assert_same_run(tensor_top_k(vectors, k), reference_tensor_top_k(vectors, k))
-
-
-FAKE_COMPOUND = "Cl800V800He800C800H800N800O100S6Cu800Ga800Ag800Tl800Ne800"
 
 
 def fake_compound_expansion():

@@ -1,15 +1,9 @@
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from summit import InputError, PairNode, brute_force_top_k, generate_instance, tensor_top_k
+from summit import InputError, PairNode, generate_instance, tensor_top_k
 from summit.core import InstrumentationCounters, as_float_vectors
 from summit.tensor import tensor_select
 from summit.tree import leaf_sources, select
-
-from helpers import assert_values_match, assert_well_formed
 
 
 def test_exact_traffic_on_distinct_value_grid():
@@ -51,23 +45,3 @@ def test_sources_must_serve_one_entry_index_tuples(pair_first):
     sources = [pair, third] if pair_first else [third, pair]
     with pytest.raises(InputError, match="one-entry index tuples"):
         tensor_select(sources, 3)
-
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-tied = st.integers(-4, 4).map(float)
-vectors_st = st.lists(
-    st.lists(st.one_of(finite, tied), min_size=1, max_size=5),
-    min_size=1,
-    max_size=4,
-)
-
-
-@settings(max_examples=120)
-@given(vectors_st, st.data())
-def test_oracle_equivalence(vectors, data):
-    cells = math.prod(len(v) for v in vectors)
-    k = data.draw(st.integers(0, cells))
-    expected = brute_force_top_k(vectors, k)
-    result = tensor_top_k(vectors, k)
-    assert_values_match(result.values, expected.values)
-    assert_well_formed(vectors, result, k)

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from summit import (
     ENGINES,
@@ -36,7 +34,6 @@ from summit.tree import (
 )
 
 from helpers import (
-    assert_values_match,
     assert_well_formed,
     check_tree_laziness,
     pair_nodes,
@@ -269,26 +266,6 @@ def test_total_fringe_bounded_by_pops_plus_nodes():
         vectors = generate_instance(m, n, seed)
         counters = tree_top_k(vectors, k).counters
         assert counters.peak_fringe_entries <= 2 * counters.heap_pops + m
-
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-tied = st.integers(-4, 4).map(float)
-vectors_st = st.lists(
-    st.lists(st.one_of(finite, tied), min_size=1, max_size=5),
-    min_size=1,
-    max_size=6,
-)
-
-
-@settings(max_examples=120)
-@given(vectors_st, st.data())
-def test_oracle_equivalence(vectors, data):
-    cells = math.prod(len(v) for v in vectors)
-    k = data.draw(st.integers(0, cells))
-    expected = brute_force_top_k(vectors, k)
-    result = tree_top_k(vectors, k)
-    assert_values_match(result.values, expected.values)
-    assert_well_formed(vectors, result, k)
 
 
 LEAF_SIZES = (1, FIRST_LAYER - 1, FIRST_LAYER, FIRST_LAYER + 1, 4 * FIRST_LAYER + 3, 20000)
