@@ -257,7 +257,10 @@ class ElementSource:
     the walk, so the heap keys a composition whose moves are not yet explored
     by its log abundance plus `slack`, a bound on that rounding error, and
     an explored one by its log abundance. The heap's top is then either safe
-    to emit or the next composition to explore. A walk that would explore
+    to emit or the next composition to explore. A composition just explored
+    is emitted only if no heap entry ties with it, so compositions with
+    bit-equal log abundances come out in ascending composition order,
+    whichever mode the walk starts at. A walk that would explore
     more than LOOKAHEAD_CAP compositions ahead of those it has emitted raises
     InputError.
 
@@ -343,7 +346,7 @@ class ElementSource:
                         "rounding error of each other, too close to order"
                     )
                 self._explore(comp)
-                if heap and -heap[0][0] > la:
+                if heap and -heap[0][0] >= la:
                     heapq.heappush(heap, (-la, 0, comp, la))
                     continue
             mass = 0.0

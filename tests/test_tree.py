@@ -1,10 +1,13 @@
 import math
 import random
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from summit import (
     ENGINES,
@@ -23,7 +26,7 @@ from summit import (
     tree_top_k,
 )
 import summit.tensor
-from summit.core import as_float_vectors, sort_descending
+from summit.core import ONE_PASS_MIN, as_float_vectors, sort_descending
 from summit.tree import (
     BLOCK_LAYER,
     FIRST_LAYER,
@@ -146,11 +149,46 @@ def test_non_integer_k_rejected(engine, bad):
      [[3.0], np.array(["1", "2"], dtype=object)], [[3.0], np.array([b"1"], dtype=object)],
      [[3.0], np.array([1.0, "2"], dtype=object)],
      [[3.0], np.array(["2020-01-01"], dtype="datetime64[D]")],
-     [[3.0], np.array([5], dtype="timedelta64[s]")]],
+     [[3.0], np.array([5], dtype="timedelta64[s]")],
+     # float() reads each of these scalars as its count.
+     [[3.0], np.array([np.datetime64(5, "ns"), 1.5], dtype=object)],
+     [[3.0], np.array([np.timedelta64(5)], dtype=object)]],
 )
 def test_text_and_complex_entries_rejected(engine, bad):
     with pytest.raises(InputError, match="^vector 1 is not a sequence of reals$"):
         engine(bad, 1)
+
+
+# float() reads the numpy scalars as counts or, with a warning, as real parts.
+# They are refused whatever the caller's warning filters, in short lists and
+# in lists long enough to be read in one pass.
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+@pytest.mark.parametrize("entry", [
+    np.datetime64(5, "ns"), np.timedelta64(5), np.timedelta64(5, "ns"), np.complex128(1.5),
+    np.complex64(1), np.array([2.0]), None, b"1", "2", 1j])
+@pytest.mark.parametrize("length", [1, ONE_PASS_MIN])
+def test_non_real_entry_in_a_list_rejected(engine, entry, length):
+    for vec in ([0.5] * length + [entry], (entry, *[0.5] * length)):
+        with pytest.raises(InputError, match="^vector 1 is not a sequence of reals$"):
+            engine([[3.0], vec], 1)
+
+
+class FloatLike:
+    """Not a numbers.Number, but float() reads it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __float__(self):
+        return self.value
+
+
+class IndexLike:
+    """Not a numbers.Number, but float() reads it as an integer."""
+
+    def __index__(self):
+        return 7
 
 
 @pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
@@ -160,10 +198,47 @@ def test_text_and_complex_entries_rejected(engine, bad):
      ([Fraction(1, 4)], [0.25]), ([Decimal("1.5")], [1.5]),
      (np.array([1.5], dtype=np.float32), [1.5]), (np.array([-3], dtype=np.int8), [-3.0]),
      (np.array([Fraction(1, 2), 2**64, True], dtype=object), [2.0**64, 1.0, 0.5]),
-     (np.ma.array([1.0, 2.0], mask=[False, False]), [2.0, 1.0])],
+     (np.ma.array([1.0, 2.0], mask=[False, False]), [2.0, 1.0]),
+     ([FloatLike(2.5), 1, IndexLike()], [7.0, 2.5, 1.0]),
+     (np.array([FloatLike(0.5), IndexLike()], dtype=object), [7.0, 0.5])],
 )
 def test_real_entries_of_any_type_accepted(engine, entries, expected):
     assert engine([entries], 3).values == expected
+    # A vector of another length keeps the input off the equal-length block.
+    converted, _ = as_float_vectors([entries, [0.0] * (len(entries) + 1)])
+    assert sorted(converted.tolist(), reverse=True) == expected
+
+
+@pytest.mark.parametrize("entries", [
+    [FloatLike(0.25), Fraction(1, 3), Decimal("1.5"), np.float32(1.5), np.float64(-0.75)],
+    [FloatLike(0.25), 2, True, IndexLike(), 0.5], [0.5, 2.0**60, -0.0, 1.5]])
+def test_long_lists_of_reals_accepted(entries):
+    vec = entries * (ONE_PASS_MIN // len(entries) + 1)
+    arr, _ = as_float_vectors([vec, [0.0]])
+    assert arr.tolist() == [float(x) for x in vec]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.integers(-2**70, 2**70), st.booleans(),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=12))
+def test_lists_convert_bit_identically_to_numpy(entries):
+    # Repeated past ONE_PASS_MIN, a list of non-integral floats is read in
+    # one pass. A vector of another length keeps the input off the
+    # equal-length block.
+    long = entries * (ONE_PASS_MIN // len(entries) + 1)
+    for vec in (entries, tuple(entries), long, tuple(long)):
+        arr, _ = as_float_vectors([vec, [0.0] * (len(vec) + 1)])
+        assert arr.tobytes() == np.asarray(vec).astype(float).tobytes()
+
+
+@pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
+def test_conversion_leaves_warning_filters_as_they_were(engine):
+    before = list(warnings.filters)
+    engine([[0.5] * ONE_PASS_MIN, [3.0]], 2)
+    with pytest.raises(InputError, match="^vector 0 is not a sequence of reals$"):
+        engine([[0.5] * ONE_PASS_MIN + [np.complex128(1.5)], [3.0]], 1)
+    assert warnings.filters == before
 
 
 @pytest.mark.parametrize("engine", [tree_top_k, tensor_top_k, brute_force_top_k])
