@@ -9,9 +9,14 @@ X1 + X2 + ... + Xm together with the index tuples that produce them:
 
 On top of the tree engine, top_peaks computes the most abundant isotope
 peaks of a molecular formula from lazy per-element sources (ElementSource).
+
+`import summit` loads core, isotopes and tree, all that top_peaks and
+`summit isotopes` run. The array engines (oracle, tensor) and the benchmark
+harness (bench) load on first access to one of their names.
 """
 
-from .bench import ENGINES, generate_instance, measure, mix64, run_bench
+from importlib import import_module
+
 from .core import (
     IndexedValue,
     InputError,
@@ -33,8 +38,6 @@ from .isotopes import (
     peaks_from_items,
     top_peaks,
 )
-from .oracle import ORACLE_CELL_CAP, brute_force_top_k
-from .tensor import tensor_top_k
 from .tree import CartesianSumTree, LeafSource, PairNode, build_tree, tree_top_k
 
 __version__ = "0.1.0"
@@ -71,3 +74,29 @@ __all__ = [
     "top_peaks",
     "tree_top_k",
 ]
+
+
+# Names served by a module that loads on first access (PEP 562).
+_LAZY = {
+    "ENGINES": "bench",
+    "generate_instance": "bench",
+    "measure": "bench",
+    "mix64": "bench",
+    "run_bench": "bench",
+    "ORACLE_CELL_CAP": "oracle",
+    "brute_force_top_k": "oracle",
+    "tensor_top_k": "tensor",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -141,12 +141,12 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]
 
     Requires at least one vector, every vector nonempty, every entry a finite
     real: an entry that array("d") reads through its __float__ or __index__
-    without a warning, and not a numpy datetime64 or timedelta64. Text, bytes,
-    None, dates, time spans and complex entries, numpy's scalars among them,
-    are refused, not converted, and so is a masked array with any entry
-    masked, which is named ahead of any other fault. Returns one 2-D array
-    whose rows are the vectors when they share a length and hold only finite
-    bools, ints and floats, else 1-D arrays.
+    without a warning, and not a numpy datetime64, timedelta64 or void. Text,
+    bytes, None, dates, time spans, void data and complex entries, numpy's
+    scalars among them, are refused, not converted, and so is a masked array
+    with any entry masked, which is named ahead of any other fault. Returns one
+    2-D array whose rows are the vectors when they share a length and hold
+    only finite bools, ints and floats, else 1-D arrays.
     """
     import numpy as np
 
@@ -191,17 +191,18 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]
                     continue
         try:
             arr = np.asarray(vec)
-            # Text, dates and complex numbers are not reals, though the float
-            # cast would read "2" as 2.0, a date as its day count and drop an
-            # imaginary part. An object array can hold any of them, so its
-            # entries are read as a list's are, dates refused by their type.
+            # Text, dates, void data and complex numbers are not reals, though
+            # the float cast would read "2" as 2.0, a date as its day count,
+            # void bytes as the number they spell and drop an imaginary part.
+            # An object array can hold any of them, so its entries are read as
+            # a list's are, dates and void scalars refused by their type.
             kind = arr.dtype.kind
             if kind == "O":
                 entries = arr.ravel().tolist()
-                if any(isinstance(x, (np.datetime64, np.timedelta64)) for x in entries):
+                if any(isinstance(x, (np.datetime64, np.timedelta64, np.void)) for x in entries):
                     raise TypeError
                 arr = _read_reals(entries).reshape(arr.shape)
-            elif kind in "USMmc":
+            elif kind in "USMmcV":
                 raise TypeError
             arr = arr.astype(float, copy=False)
         except (TypeError, ValueError, Warning):

@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+from summit import bench, cli
+
 from helpers import run_cli
 
 
@@ -215,6 +217,11 @@ class TestBench:
         code, out, err = run_cli(["bench", "--sizes", "4,0", "--methods", "tree"])
         assert (code, out) == (2, "")
         assert "sizes must be positive integers" in err
+
+
+def test_method_choices_are_the_engines():
+    # The CLI names the engines without loading bench.
+    assert cli.METHODS == tuple(sorted(bench.ENGINES))
 
 
 def test_missing_subcommand_exits_2():

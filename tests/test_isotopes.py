@@ -699,10 +699,12 @@ summit.top_peaks("C3H8", 3)
 assert main(["isotopes", "--formula", "C3H8", "--k", "3"]) == 0
 assert "numpy" not in sys.modules, "the isotope path loaded numpy"
 assert "array" not in sys.modules, "the isotope path loaded array"
+deferred = ["summit.bench", "summit.oracle", "summit.tensor"]
+assert not [name for name in deferred if name in sys.modules], "the isotope path loaded them"
 vectors = [[3.0, 1.0, 2.0], [4.0, 2.0]]
-runs = [engine(vectors, 4).items for engine in
-        (summit.tree_top_k, summit.tensor_top_k, summit.brute_force_top_k)]
+runs = [engine(vectors, 4).items for engine in summit.ENGINES.values()]
 assert "numpy" in sys.modules
+assert all(name in sys.modules for name in deferred)
 assert runs[0] == runs[1] == runs[2], runs
 assert "numpy.ma" not in sys.modules, "the masked-entry check loaded numpy.ma"
 assert dataclasses_at_start or "dataclasses" not in sys.modules, "summit loaded dataclasses"
@@ -717,3 +719,22 @@ def test_isotope_path_loads_no_numpy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 3
+
+
+def test_package_names_are_their_modules_objects():
+    # The array engines' and bench's names load on first access; each must be
+    # the very object its module holds, as an eager import would bind it.
+    import summit.bench
+    import summit.oracle
+    import summit.tensor
+
+    modules = [summit.core, summit.isotopes, summit.tree,
+               summit.bench, summit.oracle, summit.tensor]
+    namespace = {}
+    exec("from summit import *", namespace)
+    for name in summit.__all__:
+        held = [vars(module)[name] for module in modules if name in vars(module)]
+        assert held and all(namespace[name] is value for value in held), name
+    assert set(summit.__all__) <= set(dir(summit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        summit.no_such_name  # noqa: B018

@@ -152,7 +152,10 @@ def test_non_integer_k_rejected(engine, bad):
      [[3.0], np.array([5], dtype="timedelta64[s]")],
      # float() reads each of these scalars as its count.
      [[3.0], np.array([np.datetime64(5, "ns"), 1.5], dtype=object)],
-     [[3.0], np.array([np.timedelta64(5)], dtype=object)]],
+     [[3.0], np.array([np.timedelta64(5)], dtype=object)],
+     # ... and void data as the number its bytes spell.
+     [[3.0], np.array([b"7"], dtype="V1")], [[3.0], [np.void(b"7"), 1.5]],
+     [[3.0], (1.5, np.void(b"7"))], [[3.0], np.array([np.void(b"7"), 1.5], dtype=object)]],
 )
 def test_text_and_complex_entries_rejected(engine, bad):
     with pytest.raises(InputError, match="^vector 1 is not a sequence of reals$"):
