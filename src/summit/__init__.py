@@ -10,17 +10,19 @@ X1 + X2 + ... + Xm together with the index tuples that produce them:
 On top of the tree engine, top_peaks computes the most abundant isotope
 peaks of a molecular formula from lazy per-element sources (ElementSource).
 
-`import summit` loads core, isotopes and tree, all that top_peaks and
-`summit isotopes` run. The array engines (oracle, tensor) and the benchmark
-harness (bench) load on first access to one of their names.
+`import summit` loads core and isotopes, all that top_peaks and `summit
+isotopes` run. The array engines (oracle, tensor and tree's numpy front end)
+and the benchmark harness (bench) load on first access to one of their names.
 """
 
 from importlib import import_module
 
 from .core import (
+    CartesianSumTree,
     IndexedValue,
     InputError,
     InstrumentationCounters,
+    PairNode,
     SumOverflowError,
     TopKResult,
 )
@@ -38,7 +40,6 @@ from .isotopes import (
     peaks_from_items,
     top_peaks,
 )
-from .tree import CartesianSumTree, LeafSource, PairNode, build_tree, tree_top_k
 
 __version__ = "0.1.0"
 
@@ -86,6 +87,9 @@ _LAZY = {
     "ORACLE_CELL_CAP": "oracle",
     "brute_force_top_k": "oracle",
     "tensor_top_k": "tensor",
+    "LeafSource": "tree",
+    "build_tree": "tree",
+    "tree_top_k": "tree",
 }
 
 

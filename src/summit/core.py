@@ -1,20 +1,23 @@
-"""Shared primitives: heap counters, result types, input validation."""
+"""Shared primitives and the pair-heap tree, with nothing that imports numpy.
+
+Heap counters, result types and input checks that every engine shares, and
+the tree engine's lazy pairwise sum heaps (PairNode), which serve the sum of
+any ordered sources: sorted vectors from tree.py or isotope distributions.
+"""
 
 from __future__ import annotations
 
 import gc
 import operator
 import sys
-import warnings
 from functools import wraps
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from heapq import heappop, heappush, heapreplace
+from itertools import repeat
+from math import isfinite
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Protocol
 
-# numpy is imported inside the functions that call it. The isotope calculator
-# calls none of them, so `import summit` and `top_peaks` run without numpy.
 if TYPE_CHECKING:
     from importlib.abc import Traversable
-
-    import numpy as np
 
 # Saturation bound for the capacity product, so "give me everything" requests
 # stay cheap to clamp even when the true cell count is astronomically large.
@@ -24,10 +27,8 @@ CAPACITY_LIMIT = 2**63
 # payload index; exact object sizes are interpreter trivia, word counts aren't.
 NUMBER_BYTES = 8
 
-# A list or tuple this long or longer is read in one pass, not by np.asarray,
-# which reads each entry twice. At this length the one pass and its checks
-# cost what they save; at 16384 entries they save a fifth.
-ONE_PASS_MIN = 1024
+# Fringe entry price of a pair node: the key plus the (row, column) pair.
+PAIR_ENTRY_BYTES = 3 * NUMBER_BYTES
 
 
 class InputError(ValueError):
@@ -136,116 +137,18 @@ def gc_paused(fn):
     return paused
 
 
-def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]:
-    """Validate the shared engine input contract and convert to float arrays.
-
-    Requires at least one vector, every vector nonempty, every entry a finite
-    real: an entry that array("d") reads through its __float__ or __index__
-    without a warning, and not a numpy datetime64, timedelta64 or void. Text,
-    bytes, None, dates, time spans, void data and complex entries, numpy's
-    scalars among them, are refused, not converted, and so is a masked array
-    with any entry masked, which is named ahead of any other fault. Returns one
-    2-D array whose rows are the vectors when they share a length and hold
-    only finite bools, ints and floats, else 1-D arrays.
-    """
-    import numpy as np
-
-    vecs = list(vectors)
-    if not vecs:
-        raise InputError("need at least one input vector")
-    # np.asarray reads a masked entry's hidden value as data, and the masked
-    # constant in a list or an object array as NaN or an object. Only numpy.ma
-    # makes either, so while it is not loaded there is nothing to check.
-    ma = sys.modules.get("numpy.ma")
-    if ma is not None:
-        for d, vec in enumerate(vecs):
-            if ma.is_masked(vec) or (
-                    isinstance(vec, (list, tuple))
-                    or getattr(vec, "dtype", None) == object and np.ndim(vec) == 1
-            ) and any(x is ma.masked for x in vec):
-                raise InputError(f"vector {d} has masked entries")
-    # Equal-length vectors of plain numbers convert as one block. Any other
-    # input, and any failure, is left to the loop below and its messages.
-    try:
-        if len(set(map(len, vecs))) == 1:
-            block = np.asarray(vecs)
-            if block.ndim == 2 and block.size and block.dtype.kind in "biuf":
-                block = block.astype(float, copy=False)
-                if np.isfinite(block).all():
-                    return block
-    except (TypeError, ValueError):
-        pass
-    out = []
-    for d, vec in enumerate(vecs):
-        if isinstance(vec, (list, tuple)) and len(vec) >= ONE_PASS_MIN:
-            try:
-                arr = _read_reals(vec)
-            except (TypeError, ValueError, OverflowError, Warning):
-                pass
-            else:
-                # A numpy datetime64 or timedelta64 scalar reads as its count,
-                # an integer. A list with an integral or non-finite entry is
-                # left to np.asarray, whose dtype names such scalars.
-                if np.isfinite(arr).all() and (np.trunc(arr) != arr).all():
-                    out.append(arr)
-                    continue
-        try:
-            arr = np.asarray(vec)
-            # Text, dates, void data and complex numbers are not reals, though
-            # the float cast would read "2" as 2.0, a date as its day count,
-            # void bytes as the number they spell and drop an imaginary part.
-            # An object array can hold any of them, so its entries are read as
-            # a list's are, dates and void scalars refused by their type.
-            kind = arr.dtype.kind
-            if kind == "O":
-                entries = arr.ravel().tolist()
-                if any(isinstance(x, (np.datetime64, np.timedelta64, np.void)) for x in entries):
-                    raise TypeError
-                arr = _read_reals(entries).reshape(arr.shape)
-            elif kind in "USMmcV":
-                raise TypeError
-            arr = arr.astype(float, copy=False)
-        except (TypeError, ValueError, Warning):
-            raise InputError(f"vector {d} is not a sequence of reals") from None
-        except OverflowError:  # an int or Fraction beyond the float range
-            raise InputError(f"vector {d} contains a non-finite entry") from None
-        if arr.ndim != 1:
-            raise InputError(f"vector {d} is not one-dimensional")
-        if arr.size == 0:
-            raise InputError(f"vector {d} is empty")
-        if not np.isfinite(arr).all():
-            raise InputError(f"vector {d} contains a non-finite entry")
-        out.append(arr)
-    return out
-
-
-def _read_reals(entries: list | tuple) -> np.ndarray:
-    """entries as a float array, read in one pass through each entry's
-    __float__ or __index__. A warning is raised as an error: numpy's complex
-    scalars warn and drop their imaginary part, and under numpy 1.25-1.26 so
-    do size-1 arrays. Changes the process-wide warning filters while it reads.
-    """
-    import array
-
-    import numpy as np
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.frombuffer(array.array("d", entries))
-
-
 def data_lines(file: Traversable, source: str, malformed: str) -> Iterator[tuple[str, str]]:
     """Each data line of a UTF-8 text file, stripped, with its "source:lineno".
 
-    A leading byte-order mark is skipped. Lines end only at \\n, \\r\\n and
+    One leading byte-order mark is skipped; a second is data. Lines end only at \\n, \\r\\n and
     \\r, so a form feed or a Unicode line separator stays inside its line.
     Blank lines and lines starting with '#' are skipped. float() reads "1_0"
     as 10.0, so a line with a "_" is refused with the message `malformed`,
     formatted with the line.
     """
     try:
-        with file.open(encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with file.open(encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError:
         raise InputError(f"{source}: not UTF-8 text") from None
     for lineno, raw in enumerate(text.split("\n"), 1):
@@ -291,10 +194,163 @@ def normalize_k(k: int, cap: int) -> int:
     return min(k, cap)
 
 
-def sort_descending(arr: np.ndarray) -> tuple[list[float], list[int]]:
-    """Sort one axis non-increasing; returns (values, permutation to original indices).
+class Source(Protocol):
+    """An ordered source: ``extend`` serves one more entry, appending it to
+    ``values`` and ``indices`` in non-increasing value order, or returns
+    False once none is left. ``len(indices)`` is the count served."""
 
-    Stable on ties, so equal values keep ascending original index order.
+    values: list[float]
+    indices: list[tuple[int, ...]]
+
+    def extend(self) -> bool: ...
+
+
+_new_tuple = tuple.__new__
+
+
+class PairNode:
+    """Lazy heap over the Cartesian sum of two child sources.
+
+    The fringe is a ``heapq`` list of ``(-sum, seq, i, j)`` entries: i and j
+    are positions in the children's own ``values`` and ``indices``, and
+    ``seq`` is the shared counters' push number, so ties pop in push order.
+    Popping (i, j) pushes (i+1, j) always and (i, j+1) only from row zero,
+    which covers every cell exactly once with no visited set. The first
+    successor replaces the top in one sift, as in the tensor engine. A
+    child is extended only when a successor needs an entry it has not
+    served yet, so the entries realized per child never exceed pops + 1.
     """
-    order = (-arr).argsort(kind="stable")
-    return arr[order].tolist(), order.tolist()
+
+    __slots__ = ("left", "right", "values", "indices", "fringe", "_counters")
+
+    realized_left = property(lambda self: self.left.indices)
+    realized_right = property(lambda self: self.right.indices)
+    pops = property(lambda self: len(self.values))
+
+    def __init__(self, left: Source, right: Source, counters: InstrumentationCounters):
+        self.left = left
+        self.right = right
+        self.values: list[float] = []
+        self.indices: list[tuple[int, ...]] = []
+        self._counters = counters
+        # Children are nonempty by the input contract, so the corner cell
+        # always exists.
+        left.extend()
+        right.extend()
+        key = left.values[0] + right.values[0]
+        if not isfinite(key):
+            raise SumOverflowError()
+        counters.heap_pushes += 1
+        self.fringe = [(-key, counters.heap_pushes, 0, 0)]
+        live = counters.heap_pushes - counters.heap_pops
+        if live > counters.peak_fringe_entries:
+            counters.peak_fringe_entries = live
+
+    def extend(self) -> bool:
+        fringe = self.fringe
+        if not fringe:
+            return False
+        neg_key, _, i, j = fringe[0]
+        c = self._counters
+        c.heap_pops += 1
+        left, right = self.left, self.right
+        li, ri = left.indices, right.indices
+        self.values.append(-neg_key)
+        self.indices.append(li[i] + ri[j])
+        # The successors, (i+1, j) and then (0, j+1) from row zero, are pushed
+        # inline, the first in place of the top: this is the engine's hot path.
+        lv, rv = left.values, right.values
+        put = heapreplace
+        i += 1
+        if i < len(li) or left.extend():
+            key = lv[i] + rv[j]
+            if not isfinite(key):
+                raise SumOverflowError()
+            c.heap_pushes += 1
+            put(fringe, (-key, c.heap_pushes, i, j))
+            put = heappush
+        if i == 1:
+            j += 1
+            if j < len(ri) or right.extend():
+                key = lv[0] + rv[j]
+                if not isfinite(key):
+                    raise SumOverflowError()
+                c.heap_pushes += 1
+                put(fringe, (-key, c.heap_pushes, 0, j))
+                put = heappush
+        if put is heapreplace:
+            heappop(fringe)
+        # Each child pop above is followed by a push here, so the run's live
+        # count peaks when this call returns: sample it once, as the tensor does.
+        live = c.heap_pushes - c.heap_pops
+        if live > c.peak_fringe_entries:
+            c.peak_fringe_entries = live
+        return True
+
+
+class CartesianSumTree:
+    """Built topology: a single-consumer iterator over the full sum."""
+
+    __slots__ = ("root", "counters")
+
+    def __init__(self, root: Source, counters: InstrumentationCounters):
+        self.root = root
+        self.counters = counters
+
+    def pop_next(self) -> IndexedValue | None:
+        root = self.root
+        n = len(root.indices)
+        if not root.extend():
+            return None
+        return _new_tuple(IndexedValue, (root.values[n], root.indices[n]))
+
+    def __iter__(self) -> Iterator[IndexedValue]:
+        return iter(self.pop_next, None)
+
+
+def _build(sources: list[Source], lo: int, hi: int,
+           counters: InstrumentationCounters) -> Source:
+    if hi - lo == 1:
+        return sources[lo]
+    mid = lo + (hi - lo + 1) // 2  # left child takes the ceiling half
+    return PairNode(_build(sources, lo, mid, counters), _build(sources, mid, hi, counters),
+                    counters)
+
+
+def assemble_tree(sources: list[Source]) -> CartesianSumTree:
+    """The balanced pair-heap tree over ready-made, nonempty ordered sources.
+
+    Sources are leaves in the order given; one source is the root itself.
+    """
+    if not sources:
+        raise InputError("need at least one source")
+    counters = InstrumentationCounters(entry_bytes=PAIR_ENTRY_BYTES)
+    root = _build(sources, 0, len(sources), counters)
+    if not isinstance(root, PairNode):
+        # Single-source degenerate tree: no pair heaps exist, so account the
+        # source's cursor as a one-entry frontier to keep occupancy reporting total.
+        counters.peak_fringe_entries = 1
+        counters.entry_bytes = 2 * NUMBER_BYTES
+    return CartesianSumTree(root, counters)
+
+
+def select(sources: list[Source], k: int) -> TopKResult:
+    """The top k values of the sum of ordered sources, through one tree.
+
+    k is checked, not clamped: the root serves until k values are out or it
+    runs dry. k=0 builds nothing and reports zero counters.
+    """
+    # repeat refuses a count beyond sys.maxsize, which no run can serve anyway.
+    k = normalize_k(k, sys.maxsize)
+    if k == 0:
+        return TopKResult([], InstrumentationCounters())
+    tree = assemble_tree(sources)
+    root = tree.root
+    for _ in repeat(None, k):
+        if not root.extend():
+            break
+    # The root's lists are the result; a leaf's values run ahead of it.
+    values, indices = root.values, root.indices
+    if len(values) > len(indices):
+        values = values[: len(indices)]
+    return TopKResult((), tree.counters, (values, indices))

@@ -24,9 +24,17 @@ from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import InputError, data_lines, gc_paused, require_int
-from .tree import select
-from .tree import tree_top_k  # noqa: F401  (perfbench/tracing.py rebinds this name)
+from .core import InputError, data_lines, gc_paused, require_int, select
+
+
+def __getattr__(name: str):
+    # perfbench/tracing.py reads and rebinds tree_top_k here, though top_peaks
+    # never calls it; ROADMAP item 3 deletes this function.
+    if name == "tree_top_k":
+        from .tree import tree_top_k
+        return tree_top_k
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Refuse naive expansion beyond this many configurations. ElementSource never
 # enumerates, so the cap is expand_element's alone.

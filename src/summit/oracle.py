@@ -12,10 +12,10 @@ from .core import (
     InstrumentationCounters,
     SumOverflowError,
     TopKResult,
-    as_float_vectors,
     capacity,
     normalize_k,
 )
+from .tree import as_float_vectors
 
 # The oracle is for desk-scale instances only.
 ORACLE_CELL_CAP = 2_000_000

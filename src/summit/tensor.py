@@ -1,6 +1,6 @@
 """Flat m-dimensional engine: best-first expansion over the implicit sum tensor.
 
-Both heap engines read ordered sources through one protocol, ``tree.Source``;
+Both heap engines read ordered sources through one protocol, ``core.Source``;
 the tensor's serve one-entry index tuples. Its frontier is a ``heapq`` list of
 ``(-sum, push number, popped position, axis d, cell number)`` entries, each a
 step along d from a popped cell whose position tuple it shares. Ties pop in
@@ -18,13 +18,13 @@ from heapq import heappop, heappush, heapreplace
 from math import isfinite
 from operator import getitem
 
-from .core import (NUMBER_BYTES, InputError, InstrumentationCounters, SumOverflowError,
-                   TopKResult, as_float_vectors, capacity, gc_paused, normalize_k)
-from .tree import Source, leaf_sources
+from .core import (NUMBER_BYTES, InputError, InstrumentationCounters, Source, SumOverflowError,
+                   TopKResult, capacity, gc_paused, normalize_k)
+from .tree import as_float_vectors, leaf_sources
 
 
 def tensor_select(sources: list[Source], k: int) -> TopKResult:
-    """The top k values of the sum of ordered sources, as tree.select gives
+    """The top k values of the sum of ordered sources, as core.select gives
     them through a tree: k is checked, not clamped, the walk stops when k
     values are out or the fringe runs dry, and k=0 extends nothing. Sources
     serve one-entry index tuples, as LeafSource and ElementSource do."""

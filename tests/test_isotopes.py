@@ -33,8 +33,8 @@ from summit import (
     top_peaks,
     tree_top_k,
 )
+from summit.core import assemble_tree, select
 from summit.tensor import tensor_select
-from summit.tree import assemble_tree, select
 
 from helpers import FAKE_COMPOUND, assert_values_match, check_tree_laziness
 
@@ -233,6 +233,14 @@ class TestIsotopeTable:
         path.write_text("# element\tmass_da\tabundance\nF\t18.99840322\t1.0\n",
                         encoding="utf-8-sig")
         assert sorted(load_isotope_table(path)) == ["F"]
+
+    def test_second_byte_order_mark_is_data(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("\ufeffF\t18.99840322\t1.0\n", encoding="utf-8-sig")
+        with pytest.raises(InputError, match=re.escape(
+                f"{path}:1: element symbol '\\ufeffF' is not an uppercase letter "
+                "optionally followed by a lowercase letter")):
+            load_isotope_table(path)
 
 
 class TestExpandElement:
@@ -692,19 +700,22 @@ def test_peak_bits_match_a_loop(formula, k):
 NUMPY_FREE_PATH = """
 import sys
 dataclasses_at_start = "dataclasses" in sys.modules
+utf_8_sig_at_start = "encodings.utf_8_sig" in sys.modules
 import summit
 from summit.cli import main
 summit.builtin_isotope_table()
+assert utf_8_sig_at_start or "encodings.utf_8_sig" not in sys.modules, "the table load loaded utf_8_sig"
 summit.top_peaks("C3H8", 3)
 assert main(["isotopes", "--formula", "C3H8", "--k", "3"]) == 0
 assert "numpy" not in sys.modules, "the isotope path loaded numpy"
 assert "array" not in sys.modules, "the isotope path loaded array"
-deferred = ["summit.bench", "summit.oracle", "summit.tensor"]
+deferred = ["summit.bench", "summit.oracle", "summit.tensor", "summit.tree"]
 assert not [name for name in deferred if name in sys.modules], "the isotope path loaded them"
 vectors = [[3.0, 1.0, 2.0], [4.0, 2.0]]
 runs = [engine(vectors, 4).items for engine in summit.ENGINES.values()]
 assert "numpy" in sys.modules
 assert all(name in sys.modules for name in deferred)
+assert summit.isotopes.tree_top_k is summit.tree.tree_top_k
 assert runs[0] == runs[1] == runs[2], runs
 assert "numpy.ma" not in sys.modules, "the masked-entry check loaded numpy.ma"
 assert dataclasses_at_start or "dataclasses" not in sys.modules, "summit loaded dataclasses"

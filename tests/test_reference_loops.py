@@ -33,8 +33,8 @@ from summit import (
     top_peaks,
     tree_top_k,
 )
-from summit.core import NUMBER_BYTES, as_float_vectors, capacity, normalize_k
-from summit.tree import leaf_sources
+from summit.core import NUMBER_BYTES, capacity, normalize_k
+from summit.tree import as_float_vectors, leaf_sources
 
 from helpers import FAKE_COMPOUND
 

@@ -1,9 +1,9 @@
 import pytest
 
 from summit import InputError, PairNode, generate_instance, tensor_top_k
-from summit.core import InstrumentationCounters, as_float_vectors
+from summit.core import InstrumentationCounters, select
 from summit.tensor import tensor_select
-from summit.tree import leaf_sources, select
+from summit.tree import as_float_vectors, leaf_sources
 
 
 def test_exact_traffic_on_distinct_value_grid():

@@ -26,14 +26,16 @@ from summit import (
     tree_top_k,
 )
 import summit.tensor
-from summit.core import ONE_PASS_MIN, as_float_vectors, sort_descending
 from summit.tree import (
     BLOCK_LAYER,
     FIRST_LAYER,
     LAYER_GROWTH,
+    ONE_PASS_MIN,
+    as_float_vectors,
     assemble_tree,
     leaf_sources,
     select,
+    sort_descending,
 )
 
 from helpers import (
