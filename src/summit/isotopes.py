@@ -17,10 +17,10 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
-from itertools import repeat
-from operator import add
+from itertools import permutations, repeat
+from operator import add, itemgetter, mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -200,13 +200,23 @@ def _compositions(total: int, parts: int):
 
 
 def _element_isotopes(symbol: str, count: int,
-                      table: IsotopeTable | None) -> tuple[list[Isotope], int]:
-    """The isotopes of `symbol`, and `count` as an int: an integer >= 1, not a bool."""
+                      table: IsotopeTable | None) -> tuple[list[Isotope], int, tuple]:
+    """`symbol`'s isotopes, `count` as an int in 1..2**31 - 1 (not a bool), walk constants."""
     isotopes = (builtin_isotope_table() if table is None else table)[symbol]
     count = require_int(count, "atom count")
     if count < 1:
         raise InputError(f"atom count must be >= 1, got {count}")
-    return isotopes, count
+    if count > _MAX_COUNT:
+        raise InputError(f"element {symbol}: atom count {count} exceeds 32-bit range")
+    return isotopes, count, _walk_constants(tuple(isotopes))
+
+
+@lru_cache(maxsize=None)
+def _walk_constants(isotopes: tuple[Isotope, ...]) -> tuple:
+    """Log abundances, masses, moves (i, j), abundance total and max -log p, keyed by value."""
+    log_p = tuple(math.log(iso.abundance) for iso in isotopes)
+    return (log_p, tuple(iso.mass for iso in isotopes), tuple(permutations(range(len(log_p)), 2)),
+            sum(iso.abundance for iso in isotopes), max(-lp for lp in log_p))
 
 
 def expand_element(symbol: str, count: int,
@@ -219,7 +229,7 @@ def expand_element(symbol: str, count: int,
     tested against: plain enumeration, refused beyond EXPANSION_CAP. Output
     order is unspecified; the selection engines sort anyway.
     """
-    isotopes, count = _element_isotopes(symbol, count, table)
+    isotopes, count, (log_p, iso_mass, *_) = _element_isotopes(symbol, count, table)
     e = len(isotopes)
     n_configs = math.comb(count + e - 1, e - 1)
     if n_configs > EXPANSION_CAP:
@@ -229,8 +239,6 @@ def expand_element(symbol: str, count: int,
             "walk them lazily instead"
         )
 
-    log_p = [math.log(iso.abundance) for iso in isotopes]
-    iso_mass = [iso.mass for iso in isotopes]
     lg = [math.lgamma(t + 1) for t in range(count + 1)]  # lgamma memo, exact same values
     lg_total = lg[count]
 
@@ -273,38 +281,31 @@ class ElementSource:
     InputError.
 
     Only emitted entries are recorded, in the parallel lists `values`,
-    `compositions` and `masses`, so peaks_from_items maps results through an
-    ElementSource as it does through an IsotopologueVector.
+    `indices`, `compositions` and `masses`, so peaks_from_items maps results
+    through an ElementSource as it does through an IsotopologueVector.
     """
 
-    __slots__ = ("values", "indices", "compositions", "masses", "_name", "_log_p", "_iso_mass",
-                 "_lg_total", "_slack", "_moves", "_heap", "_seen", "_ahead")
+    __slots__ = ("values", "indices", "compositions", "masses", "_symbol", "_count", "_log_p",
+                 "_iso_mass", "_lg_total", "_slack", "_moves", "_heap", "_seen", "_ahead")
 
     def __init__(self, symbol: str, count: int, table: IsotopeTable | None = None):
-        isotopes, count = _element_isotopes(symbol, count, table)
-        self.values: list[float] = []
-        self.indices: list[tuple[int]] = []
-        self.compositions: list[tuple[int, ...]] = []
-        self.masses: list[float] = []
-        self._name = f"element {symbol} with {count} atoms"
-        self._log_p = [math.log(iso.abundance) for iso in isotopes]
-        self._iso_mass = [iso.mass for iso in isotopes]
+        isotopes, count, constants = _element_isotopes(symbol, count, table)
+        self.values, self.indices, self.compositions, self.masses = [], [], [], []
+        self._symbol, self._count = symbol, count
+        self._log_p, self._iso_mass, self._moves, total, steepest = constants
         self._lg_total = math.lgamma(count + 1)
-        e = len(isotopes)
         # A log abundance takes about 3e float operations plus log and lgamma
         # calls on values no larger than `scale`, each erring by a few units
         # of 2**-53 of it; slack covers the difference of two such errors
         # four times over.
-        scale = 2 * self._lg_total + count * max(-lp for lp in self._log_p)
-        self._slack = (3 * e + 5) * scale * 2.0**-50
-        self._moves = [(i, j) for i in range(e) for j in range(e) if i != j]
+        scale = 2 * self._lg_total + count * steepest
+        self._slack = (3 * len(isotopes) + 5) * scale * 2.0**-50
         # The walk starts at a mode. Some mode lies at or above the floors of
         # count * p (Finucan 1964), and the log-multinomial is a sum of one
         # concave term per isotope, so handing each of the at most e - 1
         # remaining atoms to the isotope it adds most log abundance to, the
         # first on ties, reaches one. A floor that rounding lifts above every
         # mode only makes the walk explore more: best-first climbs from any start.
-        total = sum(iso.abundance for iso in isotopes)
         comp = [int(count * iso.abundance / total) for iso in isotopes]
         gains = [lp - math.log(c + 1) for lp, c in zip(self._log_p, comp)]
         for _ in range(count - sum(comp)):
@@ -350,16 +351,14 @@ class ElementSource:
                 self._ahead += 1
                 if self._ahead > LOOKAHEAD_CAP:
                     raise InputError(
-                        f"{self._name}: over {LOOKAHEAD_CAP} compositions lie within "
-                        "rounding error of each other, too close to order"
+                        f"element {self._symbol} with {self._count} atoms: over {LOOKAHEAD_CAP} "
+                        "compositions lie within rounding error of each other, too close to order"
                     )
                 self._explore(comp)
                 if heap and -heap[0][0] >= la:
                     heapq.heappush(heap, (-la, 0, comp, la))
                     continue
-            mass = 0.0
-            for kj, mj in zip(comp, self._iso_mass):
-                mass += kj * mj
+            mass = reduce(add, map(mul, comp, self._iso_mass), 0.0)
             self._ahead -= 1
             self.indices.append((len(self.values),))
             self.values.append(la)
@@ -384,15 +383,16 @@ def peaks_from_items(expanded: list[IsotopologueVector], items) -> list[Peak]:
     if not items:
         return []
     values, index_tuples = zip(*items)
-    columns = list(zip(expanded, zip(*index_tuples)))
+    # One C-level gather per element column; a spare first row keeps k=1 a tuple.
+    getters = [itemgetter(*column) for column in zip(*index_tuples, index_tuples[0])]
     # Summed in element order, one element at a time: sum() compensates
     # float sums from Python 3.12 on, which would change the last bits.
     masses = repeat(0.0)
-    for vec, column in columns:
-        masses = map(add, masses, map(vec.masses.__getitem__, column))
-    configurations = zip(*[map(vec.compositions.__getitem__, column) for vec, column in columns])
+    for vec, get in zip(expanded, getters):
+        masses = map(add, masses, get(vec.masses))
+    configurations = zip(*[get(vec.compositions) for vec, get in zip(expanded, getters)])
     peaks = zip(masses, map(math.exp, values), values, configurations)
-    return [_new_tuple(Peak, peak) for peak in peaks]
+    return list(map(_new_tuple, repeat(Peak), peaks))
 
 
 @gc_paused

@@ -23,6 +23,7 @@ from summit import (
     InputError,
     Isotope,
     IsotopeTable,
+    IsotopologueVector,
     brute_force_top_k,
     builtin_isotope_table,
     expand_element,
@@ -506,6 +507,41 @@ class TestElementSource:
         with pytest.raises(InputError, match="Xq"):
             ElementSource("Xq", 2)
 
+    def test_counts_beyond_32_bits_refused(self):
+        # parse_formula's bound, for the library entry points too. At 10**30
+        # atoms the float floors would leave trillions of atoms for the
+        # greedy start to hand out one at a time.
+        for count in (2**31, 10**30 + 7):
+            for build in (ElementSource, expand_element):
+                with pytest.raises(InputError, match="element C: atom count .* exceeds 32-bit range"):
+                    build("C", count)
+        assert ElementSource("C", 2**31 - 1).extend()
+        with pytest.raises(InputError, match="cap"):  # the bound passes 2**31 - 1 on
+            expand_element("C", 2**31 - 1)
+
+    def test_constants_follow_the_table_value(self):
+        # Walk constants are cached by the isotope list's value: two tables
+        # that share a symbol, used alternately, and a table edited in place
+        # each walk with their own abundances and masses. The binomial check
+        # does not go through the cache.
+        def walks_its_own_table(table):
+            drain_against_enumeration("Xx", 9, table)
+            source = ElementSource("Xx", 9, table)
+            while source.extend():
+                pass
+            light, heavy = table["Xx"]
+            for (a, b), value, mass in zip(source.compositions, source.values, source.masses):
+                assert math.isclose(value, math.log(math.comb(9, a) * light.abundance**a
+                                                    * heavy.abundance**b), rel_tol=1e-12)
+                assert math.isclose(mass, a * light.mass + b * heavy.mass, rel_tol=1e-15)
+
+        first = IsotopeTable({"Xx": [Isotope(1.0, 0.3), Isotope(2.0, 0.7)]})
+        second = IsotopeTable({"Xx": [Isotope(1.5, 0.6), Isotope(2.5, 0.4)]})
+        for table in (first, second, first, second):
+            walks_its_own_table(table)
+        first["Xx"][1] = Isotope(3.0, 0.7)
+        walks_its_own_table(first)
+
     def test_numpy_integer_count_yields_int_compositions(self):
         source = ElementSource("C", np.int64(3))
         while source.extend():
@@ -632,6 +668,22 @@ def test_counts_beyond_float_resolution_refused(monkeypatch):
     assert all(a.log_abundance >= b.log_abundance for a, b in zip(peaks, peaks[1:]))
 
 
+@pytest.mark.parametrize("k,tree,tensor", [
+    (64, (224, 150, 74, 1776, 43), (660, 64, 596, 66752, 36)),
+    (512, (944, 745, 199, 4776, 50), (4819, 512, 4307, 482384, 42)),
+    (4096, (5971, 5065, 906, 21744, 59), (36011, 4096, 31915, 3574480, 53)),
+])
+def test_fake_compound_heap_counters(k, tree, tensor):
+    # The paper's comparison over ElementSources: pushes, pops, peak fringe,
+    # its byte estimate, and the entries the sources served. top_peaks'
+    # counters are not in the output digest, so they are pinned here.
+    for engine, expected in ((select, tree), (tensor_select, tensor)):
+        sources = [ElementSource(symbol, count) for symbol, count in parse_formula(FAKE_COMPOUND)]
+        counters = engine(sources, k).counters
+        assert (counters.heap_pushes, counters.heap_pops, counters.peak_fringe_entries,
+                counters.peak_entry_bytes_estimate, sum(map(len, sources))) == expected, engine
+
+
 def test_fake_compound_matches_naive_path():
     start = time.perf_counter()
     peaks = top_peaks(FAKE_COMPOUND, 512)
@@ -685,6 +737,38 @@ def test_fake_compound_peak_bits_match_a_loop(monkeypatch):
     [(expanded, items)] = calls
     assert len(peaks) == 512
     assert_peaks_match_a_loop(peaks, expanded, items)
+
+
+@pytest.mark.parametrize("formula,k,table,count", [
+    ("C3H8", 1, None, 1), (FAKE_COMPOUND, 1, None, 1), ("C100", 512, None, 101),
+    ("S6", 512, None, 84), ("F9", 512, IsotopeTable({"F": [Isotope(18.998403163, 1.0)]}), 1),
+])
+def test_mapping_edge_cases_match_a_loop(monkeypatch, formula, k, table, count):
+    # k=1 gathers one index per column; one element gathers one column; a
+    # single-isotope element has one composition.
+    calls = spy_on_mapping(monkeypatch)
+    peaks = top_peaks(formula, k, table)
+    [(expanded, items)] = calls
+    assert len(peaks) == count
+    assert_peaks_match_a_loop(peaks, expanded, items)
+
+
+def test_isotopologue_vectors_map_like_a_loop():
+    expanded = [expand_element("C", 3), expand_element("H", 8)]
+    items = tree_top_k([vec.log_abundances for vec in expanded], 36).items
+    peaks = peaks_from_items(expanded, items)
+    assert len(peaks) == 36
+    assert_peaks_match_a_loop(peaks, expanded, items)
+
+
+def test_negative_zero_masses_fold_from_zero():
+    # The fold starts at 0.0, not at the first column, so -0.0 masses sum to
+    # 0.0 as the loop gives.
+    vec = IsotopologueVector([0.0], [-0.0], [(1,)])
+    items = [IndexedValue(0.0, (0, 0))]
+    peaks = peaks_from_items([vec, vec], items)
+    assert peaks[0].mass.hex() == (0.0).hex()
+    assert_peaks_match_a_loop(peaks, [vec, vec], items)
 
 
 @settings(max_examples=100)
