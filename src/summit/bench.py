@@ -66,8 +66,8 @@ def run_bench(sizes: Sequence[int], methods: Sequence[str], seed: int) -> list[d
 
     Counter columns are exact and deterministic for a fixed seed; only
     wall_seconds varies between runs. Each engine is called once untimed on
-    the instance before the timed call, so one-off costs of a first call,
-    such as importing numpy, stay out of the row.
+    the instance before the timed call, so one-off costs of a first call
+    stay out of the row.
     """
     for name in methods:
         if name not in ENGINES:

@@ -93,9 +93,10 @@ def _method_list(text: str) -> list[str]:
 
 
 def cmd_topk(args: argparse.Namespace) -> int:
+    vectors = read_vectors_file(args.input)
+    # Loaded after the file is read, so a data error loads no numpy.
     from .bench import ENGINES
 
-    vectors = read_vectors_file(args.input)
     result = ENGINES[args.method](vectors, args.k)
     out = sys.stdout
     for rank, (value, indices) in enumerate(zip(result.values, result.index_tuples), 1):

@@ -239,8 +239,10 @@ def expand_element(symbol: str, count: int,
             "walk them lazily instead"
         )
 
-    lg = [math.lgamma(t + 1) for t in range(count + 1)]  # lgamma memo, exact same values
-    lg_total = lg[count]
+    # lgamma memo, exact same values. count + 1 <= n_configs bounds it for
+    # e >= 2; one isotope gives one composition, which reads only lg[count].
+    lg_total = math.lgamma(count + 1)
+    lg = [math.lgamma(t + 1) for t in range(count + 1)] if e > 1 else {count: lg_total}
 
     log_abundances: list[float] = []
     masses: list[float] = []

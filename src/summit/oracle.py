@@ -6,6 +6,8 @@ in the suite treats this module as ground truth.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import (
     NUMBER_BYTES,
     InputError,
@@ -29,8 +31,6 @@ def brute_force_top_k(vectors, k: int) -> TopKResult:
     materialized grid as peak occupancy (the oracle holds every cell live at
     once); no heaps are involved, so push/pop counts stay zero.
     """
-    import numpy as np
-
     axes = as_float_vectors(vectors)
     cells = capacity(len(a) for a in axes)
     if cells > ORACLE_CELL_CAP:

@@ -20,7 +20,6 @@ from operator import getitem
 
 from .core import (NUMBER_BYTES, InputError, InstrumentationCounters, Source, SumOverflowError,
                    TopKResult, capacity, gc_paused, normalize_k)
-from .tree import as_float_vectors, leaf_sources
 
 
 def tensor_select(sources: list[Source], k: int) -> TopKResult:
@@ -101,6 +100,9 @@ def tensor_select(sources: list[Source], k: int) -> TopKResult:
 def tensor_top_k(vectors, k: int) -> TopKResult:
     """Top k values of X1 + X2 + ... + Xm, non-increasing, with their index
     tuples into the vectors as given, which may be unsorted. k is clamped to
-    the number of cells, which also keeps the radix of cell numbers small."""
+    the number of cells, which also keeps the radix of cell numbers small.
+    The array front end loads here, so tensor_select runs without numpy."""
+    from .tree import as_float_vectors, leaf_sources
+
     axes = as_float_vectors(vectors)
     return tensor_select(leaf_sources(axes), normalize_k(k, capacity(map(len, axes))))

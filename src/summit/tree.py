@@ -3,15 +3,18 @@
 as_float_vectors checks the engines' shared input contract and converts the
 vectors to float arrays; LeafSource serves one vector in non-increasing
 order, sorting it in layers as it is read. build_tree and tree_top_k put the
-leaves under the pair-heap tree of core.py. This is the module that imports
-numpy, and it loads on first use, so the isotope calculator never loads it.
+leaves under the pair-heap tree of core.py. It imports numpy at its top, as
+oracle.py does, and the isotope calculator loads neither module.
 """
 
 from __future__ import annotations
 
+import array
 import sys
 import warnings
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     CartesianSumTree,
@@ -21,9 +24,6 @@ from .core import (
     gc_paused,
     select,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # A vector of at most FIRST_LAYER entries is sorted whole. A longer one is
@@ -53,8 +53,6 @@ def as_float_vectors(vectors: Iterable[Sequence[float]]) -> Sequence[np.ndarray]
     2-D array whose rows are the vectors when they share a length and hold
     only finite bools, ints and floats, else 1-D arrays.
     """
-    import numpy as np
-
     vecs = list(vectors)
     if not vecs:
         raise InputError("need at least one input vector")
@@ -130,10 +128,6 @@ def _read_reals(entries: list | tuple) -> np.ndarray:
     scalars warn and drop their imaginary part, and under numpy 1.25-1.26 so
     do size-1 arrays. Changes the process-wide warning filters while it reads.
     """
-    import array
-
-    import numpy as np
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return np.frombuffer(array.array("d", entries))
@@ -178,8 +172,6 @@ class LeafSource:
         row, taken = self._row, len(self.permutation)
         if taken == len(row):
             return False
-        import numpy as np
-
         # The first layer is cut from the row itself, whose positions are
         # already original indices; later ones mask the prefix out first.
         rest, index = row, None
@@ -215,8 +207,6 @@ def leaf_sources(vecs) -> list[LeafSource]:
     as one 2-D block at most FIRST_LAYER wide, the first BLOCK_LAYER entries of
     every row are cut, by the rule of LeafSource.grow, and sorted in one pass;
     a leaf sorts the rest of its row on its first grow."""
-    import numpy as np
-
     if not isinstance(vecs, np.ndarray) or vecs.shape[1] > FIRST_LAYER:
         return [LeafSource(a) for a in vecs]
     m, n = vecs.shape

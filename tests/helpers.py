@@ -4,7 +4,7 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
-from summit import LeafSource, PairNode
+from summit import PairNode
 from summit.cli import main
 
 # The paper's fake compound: 13 elements, twelve of them at 800 atoms.
@@ -41,7 +41,7 @@ def assert_well_formed(vectors, result, k):
 def tree_depth(tree):
     """Pair nodes on the longest root-to-leaf path of a built tree."""
     def walk(node):
-        if isinstance(node, LeafSource):
+        if not isinstance(node, PairNode):
             return 0
         return 1 + max(walk(node.left), walk(node.right))
 

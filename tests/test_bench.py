@@ -92,8 +92,8 @@ def test_run_bench_deterministic_except_wall():
 
 
 def test_run_bench_times_a_warm_call(monkeypatch):
-    # A first call that pays a one-off cost, as numpy's import does, is
-    # made untimed; the row times the second call on the same instance.
+    # A first call that pays a one-off cost is made untimed; the row times
+    # the second call on the same instance.
     calls = []
 
     def cold_start(vectors, k):

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,18 @@ class TestTopk:
         assert code == 3
         assert out == ""
         assert "malformed" in err
+
+    def test_data_error_loads_no_numpy(self, tmp_path):
+        # A fresh interpreter: this test process has numpy loaded already.
+        path = tmp_path / "v.txt"
+        path.write_text("3,,1\n")
+        script = ("import sys; from summit.cli import main; "
+                  f"code = main(['topk', '--input', {str(path)!r}, '--k', '1']); "
+                  "print(code, 'numpy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "3 False\n", proc.stderr
 
     def test_digit_separator_is_malformed(self, tmp_path):
         # float() reads "1_0" as 10.0; the file format takes decimal reals only.

@@ -25,7 +25,7 @@ from summit import (
     tensor_top_k,
     tree_top_k,
 )
-import summit.tensor
+import summit.tree
 from summit.tree import (
     BLOCK_LAYER,
     FIRST_LAYER,
@@ -485,7 +485,7 @@ def test_equal_length_engines_match_per_row_leaves(name, ma_loaded, monkeypatch)
         if item is None:
             break
     tensors = [tensor_top_k(vectors, k) for k in (1, n, 4 * n + 3)]
-    monkeypatch.setattr(summit.tensor, "leaf_sources", per_row_leaves)
+    monkeypatch.setattr(summit.tree, "leaf_sources", per_row_leaves)
     for k, tensor in zip((1, n, 4 * n + 3), tensors):
         reference = tensor_top_k(vectors, k)
         assert list(map(repr, tensor.values)) == list(map(repr, reference.values))
@@ -504,7 +504,9 @@ def test_equal_length_engines_match_per_row_leaves(name, ma_loaded, monkeypatch)
     ([[1.0], [10**400]], "vector 1 contains a non-finite entry"),
     ([[], []], "vector 0 is empty"),
     (np.array([[1.0, 2.0], [math.inf, 3.0]]), "vector 1 contains a non-finite entry"),
-], ids=["nan", "text", "complex", "date", "nested", "big_int", "empty", "ndarray"])
+    # np.asarray refuses the block, so each vector is converted on its own.
+    ([[1.0, [2.0]], [3.0, 4.0]], "vector 0 is not a sequence of reals"),
+], ids=["nan", "text", "complex", "date", "nested", "big_int", "empty", "ndarray", "inhomogeneous"])
 def test_equal_length_input_errors_keep_their_vector(engine, vectors, message, ma_loaded):
     with pytest.raises(InputError, match=f"^{message}$"):
         engine(vectors, 1)
