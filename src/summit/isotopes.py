@@ -208,12 +208,15 @@ def _element_isotopes(symbol: str, count: int,
         raise InputError(f"atom count must be >= 1, got {count}")
     if count > _MAX_COUNT:
         raise InputError(f"element {symbol}: atom count {count} exceeds 32-bit range")
-    return isotopes, count, _walk_constants(tuple(isotopes))
+    return isotopes, count, _walk_constants(symbol, tuple(isotopes))
 
 
 @lru_cache(maxsize=None)
-def _walk_constants(isotopes: tuple[Isotope, ...]) -> tuple:
+def _walk_constants(symbol: str, isotopes: tuple[Isotope, ...]) -> tuple:
     """Log abundances, masses, moves (i, j), abundance total and max -log p, keyed by value."""
+    if not isotopes or not all(0 < m < math.inf and 0 < a <= 1 for m, a in isotopes):
+        raise InputError(f"element {symbol}: needs isotopes, each with a positive finite mass "
+                         "and an abundance in (0, 1]")
     log_p = tuple(math.log(iso.abundance) for iso in isotopes)
     return (log_p, tuple(iso.mass for iso in isotopes), tuple(permutations(range(len(log_p)), 2)),
             sum(iso.abundance for iso in isotopes), max(-lp for lp in log_p))

@@ -17,8 +17,7 @@ def ma_loaded(request, monkeypatch):
     """Runs a test with and without numpy.ma in sys.modules: as_float_vectors
     checks for masked entries only while it is loaded, and must convert and
     refuse input alike in both states."""
-    import numpy.ma  # noqa: F401
-
+    pytest.importorskip("numpy.ma")
     if not request.param:
         monkeypatch.delitem(sys.modules, "numpy.ma")
     return request.param
