@@ -107,6 +107,15 @@ class TestIsotopes:
         assert code == 0
         assert float(out.splitlines()[0].split("\t")[2]) == 1.0
 
+    def test_data_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("F\t18.99840322\t1.0\n", encoding="utf-8-sig")
+        code, out, _ = run_cli(
+            ["isotopes", "--formula", "F2", "--k", "1", "--data", str(path)]
+        )
+        assert code == 0
+        assert out.splitlines()[0].split("\t")[3] == "F[2]"
+
     def test_data_file_not_utf8_exits_3(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_bytes(b"F\t18.99\xff\t1.0\n")

@@ -189,6 +189,15 @@ class TestIsotopeTable:
                                              "must be positive and finite"):
             load_isotope_table(path)
 
+    @pytest.mark.parametrize("row", ["C\t1_2.0\t1.0", "C\t12.0\t1_0"],
+                             ids=["mass", "abundance"])
+    def test_digit_separator_rejected(self, tmp_path, row):
+        # float() reads "1_0" as 10.0; the table takes decimal reals only.
+        path = tmp_path / "t.tsv"
+        path.write_text(f"# comment\n{row}\n")
+        with pytest.raises(InputError, match=f"{re.escape(str(path))}:2: non-numeric"):
+            load_isotope_table(path)
+
     @pytest.mark.parametrize("symbol", ["Cl1", "h", "12"])
     def test_symbol_no_formula_can_name_rejected(self, tmp_path, symbol):
         # No formula can name such a symbol, so the row could never be used.
@@ -198,6 +207,12 @@ class TestIsotopeTable:
                 f"{path}:2: element symbol {symbol!r} is not an uppercase letter "
                 "optionally followed by a lowercase letter")):
             load_isotope_table(path)
+
+    def test_byte_order_mark_before_a_row(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("H\t1.00782503207\t0.9999\nH\t2.0141017778\t0.0001\n",
+                        encoding="utf-8-sig")
+        assert sorted(load_isotope_table(path)) == ["H"]
 
     @pytest.mark.parametrize("build", [
         lambda table: top_peaks("Xx2", 3, table), lambda table: ElementSource("Xx", 2, table),
