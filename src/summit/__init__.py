@@ -11,8 +11,9 @@ On top of the tree engine, top_peaks computes the most abundant isotope
 peaks of a molecular formula from lazy per-element sources (ElementSource).
 
 `import summit` loads core and isotopes, all that top_peaks and `summit
-isotopes` run. The array engines (oracle, tensor and tree's numpy front end)
-and the benchmark harness (bench) load on first access to one of their names.
+isotopes` run. The array engines (oracle, tensor and tree's numpy front end),
+the naive isotope expansion (expansion) and the benchmark harness (bench)
+load on first access to one of their names.
 """
 
 from importlib import import_module
@@ -31,10 +32,8 @@ from .isotopes import (
     FormulaError,
     Isotope,
     IsotopeTable,
-    IsotopologueVector,
     Peak,
     builtin_isotope_table,
-    expand_element,
     load_isotope_table,
     parse_formula,
     peaks_from_items,
@@ -84,6 +83,8 @@ _LAZY = {
     "measure": "bench",
     "mix64": "bench",
     "run_bench": "bench",
+    "IsotopologueVector": "expansion",
+    "expand_element": "expansion",
     "ORACLE_CELL_CAP": "oracle",
     "brute_force_top_k": "oracle",
     "tensor_top_k": "tensor",

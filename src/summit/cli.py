@@ -7,12 +7,9 @@ The engines and the benchmark harness load inside the commands that run
 them, so `summit isotopes` compiles neither.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from math import isfinite
-from pathlib import Path
 
 from .core import InputError, data_lines
 from .isotopes import builtin_isotope_table, load_isotope_table, parse_formula, top_peaks
@@ -33,7 +30,7 @@ def read_vectors_file(path: str) -> list[list[float]]:
     """
     malformed = "malformed vector line {line!r}"
     vectors = []
-    for where, line in data_lines(Path(path), path, malformed):
+    for where, line in data_lines(path, path, malformed):
         try:
             row = list(map(float, line.split(",")))
         except ValueError:

@@ -3,21 +3,22 @@
 Heap counters, result types and input checks that every engine shares, and
 the tree engine's lazy pairwise sum heaps (PairNode), which serve the sum of
 any ordered sources: sorted vectors from tree.py or isotope distributions.
-"""
 
-from __future__ import annotations
+Both heap engines read their inputs as a Source: an object with two lists,
+``values`` and ``indices``, and a method ``extend() -> bool``, which serves
+one more entry, appending its value and its index tuple in non-increasing
+value order, or returns False once none is left. ``len(indices)`` is the
+count served. LeafSource, ElementSource and PairNode are Sources.
+"""
 
 import gc
 import operator
 import sys
+from collections import namedtuple
 from functools import wraps
 from heapq import heappop, heappush, heapreplace
 from itertools import repeat
 from math import isfinite
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Protocol
-
-if TYPE_CHECKING:
-    from importlib.abc import Traversable
 
 # Saturation bound for the capacity product, so "give me everything" requests
 # stay cheap to clamp even when the true cell count is astronomically large.
@@ -50,11 +51,8 @@ class SumOverflowError(InputError):
         super().__init__(message)
 
 
-class IndexedValue(NamedTuple):
-    """One Cartesian-sum value and the original-index tuple that produced it."""
-
-    value: float
-    indices: tuple[int, ...]
+IndexedValue = namedtuple("IndexedValue", ["value", "indices"])
+IndexedValue.__doc__ = "One Cartesian-sum value and the original-index tuple that produced it."
 
 
 class _SlotRecord:
@@ -137,7 +135,7 @@ def gc_paused(fn):
     return paused
 
 
-def data_lines(file: Traversable, source: str, malformed: str) -> Iterator[tuple[str, str]]:
+def data_lines(path: str, source: str, malformed: str) -> "Iterator[tuple[str, str]]":
     """Each data line of a UTF-8 text file, stripped, with its "source:lineno".
 
     One leading byte-order mark is skipped; a second is data. Lines end only at \\n, \\r\\n and
@@ -147,7 +145,7 @@ def data_lines(file: Traversable, source: str, malformed: str) -> Iterator[tuple
     formatted with the line.
     """
     try:
-        with file.open(encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError:
         raise InputError(f"{source}: not UTF-8 text") from None
@@ -161,7 +159,7 @@ def data_lines(file: Traversable, source: str, malformed: str) -> Iterator[tuple
         yield where, line
 
 
-def capacity(lengths: Iterable[int]) -> int:
+def capacity(lengths: "Iterable[int]") -> int:
     """Product of vector lengths, saturating at CAPACITY_LIMIT."""
     total = 1
     for n in lengths:
@@ -194,17 +192,6 @@ def normalize_k(k: int, cap: int) -> int:
     return min(k, cap)
 
 
-class Source(Protocol):
-    """An ordered source: ``extend`` serves one more entry, appending it to
-    ``values`` and ``indices`` in non-increasing value order, or returns
-    False once none is left. ``len(indices)`` is the count served."""
-
-    values: list[float]
-    indices: list[tuple[int, ...]]
-
-    def extend(self) -> bool: ...
-
-
 _new_tuple = tuple.__new__
 
 
@@ -227,7 +214,7 @@ class PairNode:
     realized_right = property(lambda self: self.right.indices)
     pops = property(lambda self: len(self.values))
 
-    def __init__(self, left: Source, right: Source, counters: InstrumentationCounters):
+    def __init__(self, left: "Source", right: "Source", counters: InstrumentationCounters):
         self.left = left
         self.right = right
         self.values: list[float] = []
@@ -293,7 +280,7 @@ class CartesianSumTree:
 
     __slots__ = ("root", "counters")
 
-    def __init__(self, root: Source, counters: InstrumentationCounters):
+    def __init__(self, root: "Source", counters: InstrumentationCounters):
         self.root = root
         self.counters = counters
 
@@ -304,12 +291,12 @@ class CartesianSumTree:
             return None
         return _new_tuple(IndexedValue, (root.values[n], root.indices[n]))
 
-    def __iter__(self) -> Iterator[IndexedValue]:
+    def __iter__(self) -> "Iterator[IndexedValue]":
         return iter(self.pop_next, None)
 
 
-def _build(sources: list[Source], lo: int, hi: int,
-           counters: InstrumentationCounters) -> Source:
+def _build(sources: "list[Source]", lo: int, hi: int,
+           counters: InstrumentationCounters) -> "Source":
     if hi - lo == 1:
         return sources[lo]
     mid = lo + (hi - lo + 1) // 2  # left child takes the ceiling half
@@ -317,7 +304,7 @@ def _build(sources: list[Source], lo: int, hi: int,
                     counters)
 
 
-def assemble_tree(sources: list[Source]) -> CartesianSumTree:
+def assemble_tree(sources: "list[Source]") -> CartesianSumTree:
     """The balanced pair-heap tree over ready-made, nonempty ordered sources.
 
     Sources are leaves in the order given; one source is the root itself.
@@ -334,7 +321,7 @@ def assemble_tree(sources: list[Source]) -> CartesianSumTree:
     return CartesianSumTree(root, counters)
 
 
-def select(sources: list[Source], k: int) -> TopKResult:
+def select(sources: "list[Source]", k: int) -> TopKResult:
     """The top k values of the sum of ordered sources, through one tree.
 
     k is checked, not clamped: the root serves until k values are out or it

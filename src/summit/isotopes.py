@@ -6,39 +6,41 @@ isotopes. The most abundant molecular configurations are then exactly the top
 values of the Cartesian sum of those sources, and each winning index tuple
 maps back to an isotope composition and a mass. Each source walks out from
 its element's multinomial mode, so only the compositions the top k reach are
-ever computed; `expand_element` enumerates them all and is the reference.
+ever computed; `summit.expansion.expand_element` enumerates them all and is
+the reference.
 
 Everything runs in the natural-log domain so probabilities multiply by
 addition; linear abundance is materialized only at output.
 """
 
-from __future__ import annotations
-
 import heapq
 import math
+import os
 import re
+from collections import namedtuple
 from functools import lru_cache, reduce
-from importlib import resources
 from itertools import permutations, repeat
-from operator import add, itemgetter, mul
-from pathlib import Path
-from typing import NamedTuple
+from operator import add, itemgetter, lt, mul
 
 from .core import InputError, data_lines, gc_paused, require_int, select
 
+# The naive reference, served from summit.expansion on first access.
+_EXPANSION = ("EXPANSION_CAP", "IsotopologueVector", "expand_element")
+
 
 def __getattr__(name: str):
-    # perfbench/tracing.py reads and rebinds tree_top_k here, though top_peaks
-    # never calls it; ROADMAP item 3 deletes this function.
+    # perfbench/tracing.py reads and rebinds tree_top_k and expand_element
+    # here, though top_peaks calls neither, and code written against this
+    # module imports the expansion's names from it. ROADMAP item 3 deletes
+    # the tree_top_k branch.
     if name == "tree_top_k":
         from .tree import tree_top_k
         return tree_top_k
+    if name in _EXPANSION:
+        from . import expansion
+        return getattr(expansion, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-# Refuse naive expansion beyond this many configurations. ElementSource never
-# enumerates, so the cap is expand_element's alone.
-EXPANSION_CAP = 10_000_000
 
 # Most compositions an ElementSource may explore beyond those it has emitted.
 # It explores ahead only through compositions whose log abundances lie within
@@ -64,9 +66,8 @@ class FormulaError(InputError):
         self.offset = offset
 
 
-class Isotope(NamedTuple):
-    mass: float  # Da
-    abundance: float  # linear probability in (0, 1]
+# mass in Da, abundance a linear probability in (0, 1]
+Isotope = namedtuple("Isotope", ["mass", "abundance"])
 
 
 class IsotopeTable(dict):
@@ -76,10 +77,10 @@ class IsotopeTable(dict):
         raise InputError(f"element {symbol!r} not in isotope table")
 
 
-def _parse_tsv(file, source: str) -> IsotopeTable:
+def _parse_tsv(path: str, source: str) -> IsotopeTable:
     malformed = "non-numeric mass or abundance"
     table = IsotopeTable()
-    for where, line in data_lines(file, source, malformed):
+    for where, line in data_lines(path, source, malformed):
         fields = line.split("\t")
         if len(fields) != 3:
             raise InputError(f"{where}: expected element<TAB>mass_da<TAB>abundance")
@@ -96,36 +97,35 @@ def _parse_tsv(file, source: str) -> IsotopeTable:
             raise InputError(f"{where}: isotope mass must be positive and finite")
         if not 0 < abundance <= 1:
             raise InputError(f"{where}: abundance must be in (0, 1]")
-        isotopes = table.setdefault(symbol, [])
-        if any(iso.mass == mass for iso in isotopes):
-            raise InputError(f"{where}: duplicate isotope ({symbol}, {mass})")
-        isotopes.append(Isotope(mass, abundance))
+        table.setdefault(symbol, []).append(Isotope(mass, abundance))
 
     for symbol, isotopes in table.items():
         isotopes.sort(key=lambda iso: iso.mass)
-        total = sum(iso.abundance for iso in isotopes)
-        if abs(total - 1.0) > 1e-3:
-            raise InputError(f"{source}: abundances for {symbol} sum to {total:.6f}, not 1")
+        try:
+            _walk_constants(symbol, tuple(isotopes))
+        except InputError as exc:
+            raise InputError(f"{source}: {exc}") from None
     if not table:
         raise InputError(f"{source}: no isotope rows found")
     return table
 
 
-def load_isotope_table(path: str | Path) -> IsotopeTable:
+def load_isotope_table(path: str | os.PathLike[str]) -> IsotopeTable:
     """Load a TSV of `element<TAB>mass_da<TAB>abundance` rows.
 
     Lines are read by core.data_lines. Symbols must be ones a formula can
     name (parse_formula's `[A-Z][a-z]?`), masses positive and finite, and
-    per element the abundances must sum to 1 within 1e-3.
+    each element's list must pass the check every isotope table passes (see
+    _walk_constants): distinct masses, abundances that sum to 1 within 1e-3.
     """
-    path = Path(path)
-    return _parse_tsv(path, str(path))
+    path = os.fspath(path)
+    return _parse_tsv(path, path)
 
 
 @lru_cache(maxsize=1)
 def builtin_isotope_table() -> IsotopeTable:
     """The table shipped with the package (H, C, N, O, S, Cl, V, He, Cu, Ga, Ag, Tl, Ne)."""
-    return _parse_tsv(resources.files("summit").joinpath("data/isotopes.tsv"),
+    return _parse_tsv(os.path.join(os.path.dirname(__file__), "data", "isotopes.tsv"),
                       "builtin isotopes.tsv")
 
 
@@ -170,35 +170,6 @@ def parse_formula(text: str, table: IsotopeTable | None = None) -> list[tuple[st
     return out
 
 
-class IsotopologueVector:
-    """All ways of distributing `count` atoms of one element over its isotopes.
-
-    Parallel arrays: entry t has probability exp(log_abundances[t]), mass
-    masses[t], and isotope counts compositions[t] (mass-ascending isotope
-    order, summing to count).
-    """
-
-    __slots__ = ("log_abundances", "masses", "compositions")
-
-    def __init__(self, log_abundances: list[float], masses: list[float],
-                 compositions: list[tuple[int, ...]]):
-        self.log_abundances = log_abundances
-        self.masses = masses
-        self.compositions = compositions
-
-    def __len__(self) -> int:
-        return len(self.log_abundances)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _element_isotopes(symbol: str, count: int,
                       table: IsotopeTable | None) -> tuple[list[Isotope], int, tuple]:
     """`symbol`'s isotopes, `count` as an int in 1..2**31 - 1 (not a bool), walk constants."""
@@ -213,53 +184,22 @@ def _element_isotopes(symbol: str, count: int,
 
 @lru_cache(maxsize=None)
 def _walk_constants(symbol: str, isotopes: tuple[Isotope, ...]) -> tuple:
-    """Log abundances, masses, moves (i, j), abundance total and max -log p, keyed by value."""
-    if not isotopes or not all(0 < m < math.inf and 0 < a <= 1 for m, a in isotopes):
-        raise InputError(f"element {symbol}: needs isotopes, each with a positive finite mass "
-                         "and an abundance in (0, 1]")
-    log_p = tuple(math.log(iso.abundance) for iso in isotopes)
-    return (log_p, tuple(iso.mass for iso in isotopes), tuple(permutations(range(len(log_p)), 2)),
-            sum(iso.abundance for iso in isotopes), max(-lp for lp in log_p))
+    """Log abundances, masses, moves (i, j), abundance total and max -log p, keyed by value.
 
-
-def expand_element(symbol: str, count: int,
-                   table: IsotopeTable | None = None) -> IsotopologueVector:
-    """Multinomial expansion of one element: every composition gets a log
-    probability (log-gamma multinomial coefficient plus per-isotope terms)
-    and a mass.
-
-    This is the naive path, kept as the reference that ElementSource is
-    tested against: plain enumeration, refused beyond EXPANSION_CAP. Output
-    order is unspecified; the selection engines sort anyway.
+    The one check of every isotope list, from a file or built in memory: it
+    is nonempty, its masses are positive, finite and strictly ascending, and
+    its abundances lie in (0, 1] and sum to 1 within 1e-3.
     """
-    isotopes, count, (log_p, iso_mass, *_) = _element_isotopes(symbol, count, table)
-    e = len(isotopes)
-    n_configs = math.comb(count + e - 1, e - 1)
-    if n_configs > EXPANSION_CAP:
-        raise InputError(
-            f"element {symbol} with {count} atoms expands to {n_configs} "
-            f"configurations (cap {EXPANSION_CAP}); top_peaks and ElementSource "
-            "walk them lazily instead"
-        )
-
-    # lgamma memo, exact same values. count + 1 <= n_configs bounds it for
-    # e >= 2; one isotope gives one composition, which reads only lg[count].
-    lg_total = math.lgamma(count + 1)
-    lg = [math.lgamma(t + 1) for t in range(count + 1)] if e > 1 else {count: lg_total}
-
-    log_abundances: list[float] = []
-    masses: list[float] = []
-    compositions: list[tuple[int, ...]] = []
-    for comp in _compositions(count, e):
-        la = lg_total
-        mass = 0.0
-        for kj, lpj, mj in zip(comp, log_p, iso_mass):
-            la += kj * lpj - lg[kj]
-            mass += kj * mj
-        log_abundances.append(la)
-        masses.append(mass)
-        compositions.append(comp)
-    return IsotopologueVector(log_abundances, masses, compositions)
+    masses = tuple(iso.mass for iso in isotopes)
+    total = sum(iso.abundance for iso in isotopes)
+    if not (isotopes and all(0 < m < math.inf and 0 < a <= 1 for m, a in isotopes)
+            and all(map(lt, masses, masses[1:])) and abs(total - 1.0) <= 1e-3):
+        raise InputError(f"element {symbol}: needs isotopes, each with a positive finite mass "
+                         "and an abundance in (0, 1], masses strictly ascending (no duplicates) "
+                         f"and abundances that sum to 1 within 1e-3 (these sum to {total:.6f})")
+    log_p = tuple(math.log(iso.abundance) for iso in isotopes)
+    return (log_p, masses, tuple(permutations(range(len(log_p)), 2)), total,
+            max(-lp for lp in log_p))
 
 
 class ElementSource:
@@ -373,16 +313,12 @@ class ElementSource:
         return False
 
 
-class Peak(NamedTuple):
-    """One isotope peak: mass, abundance, and the per-element composition."""
-
-    mass: float
-    abundance: float
-    log_abundance: float
-    configuration: tuple[tuple[int, ...], ...]
+Peak = namedtuple("Peak", ["mass", "abundance", "log_abundance", "configuration"])
+Peak.__doc__ = "One isotope peak: mass, abundance, and the per-element composition."
 
 
-def peaks_from_items(expanded: list[IsotopologueVector], items) -> list[Peak]:
+def peaks_from_items(expanded: "list[IsotopologueVector | ElementSource]",
+                     items) -> list[Peak]:
     """Map selection results to peaks; index tuples point into each element's
     IsotopologueVector or ElementSource."""
     if not items:

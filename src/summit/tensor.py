@@ -1,14 +1,15 @@
 """Flat m-dimensional engine: best-first expansion over the implicit sum tensor.
 
-Both heap engines read ordered sources through one protocol, ``core.Source``;
-the tensor's serve one-entry index tuples. Its frontier is a ``heapq`` list of
-``(-sum, push number, popped position, axis d, cell number)`` entries, each a
-step along d from a popped cell whose position tuple it shares. Ties pop in
-push order, and no comparison reaches past it. A source is extended only by a
-pop at a new highest coordinate on its axis, so it serves at most pops + 1
-entries and no coordinate exceeds k. A cell's number reads its position as
-digits in radix k + 1, so distinct cells get distinct numbers; a visited set
-of them keeps a cell reachable from m predecessors from entering it twice.
+Both heap engines read ordered sources through one protocol, the Source
+that core's docstring states; the tensor's serve one-entry index tuples. Its
+frontier is a ``heapq`` list of ``(-sum, push number, popped position, axis
+d, cell number)`` entries, each a step along d from a popped cell whose
+position tuple it shares. Ties pop in push order, and no comparison reaches
+past it. A source is extended only by a pop at a new highest coordinate on
+its axis, so it serves at most pops + 1 entries and no coordinate exceeds k.
+A cell's number reads its position as digits in radix k + 1, so distinct
+cells get distinct numbers; a visited set of them keeps a cell reachable from
+m predecessors from entering it twice.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from heapq import heappop, heappush, heapreplace
 from math import isfinite
 from operator import getitem
 
-from .core import (NUMBER_BYTES, InputError, InstrumentationCounters, Source, SumOverflowError,
+from .core import (NUMBER_BYTES, InputError, InstrumentationCounters, SumOverflowError,
                    TopKResult, capacity, gc_paused, normalize_k)
 
 

@@ -221,11 +221,13 @@ class TestIsotopeTable:
     @pytest.mark.parametrize("isotopes", [
         [], [Isotope(1.0, 0.0)], [Isotope(1.0, -0.5)], [Isotope(1.0, math.nan)],
         [Isotope(1.0, 1.5)], [Isotope(math.inf, 1.0)], [Isotope(math.nan, 1.0)],
+        [Isotope(1.0, 0.6), Isotope(2.0, 0.6)], [Isotope(2.0, 0.5), Isotope(1.0, 0.5)],
+        [Isotope(1.0, 0.5), Isotope(1.0, 0.5)],
     ], ids=["empty", "abundance-0", "abundance-negative", "abundance-nan", "abundance-1.5",
-            "mass-inf", "mass-nan"])
+            "mass-inf", "mass-nan", "sum-1.2", "masses-descending", "masses-equal"])
     def test_in_memory_table_refused(self, isotopes, build):
-        # A table built in memory skips load_isotope_table's checks; the walk
-        # refuses an isotope list that no peak can come from, naming its element.
+        # A table built in memory skips load_isotope_table's line checks, not
+        # the per-element check that the walk and the loader share.
         with pytest.raises(InputError, match="^element Xx: needs isotopes"):
             build(IsotopeTable({"Xx": isotopes}))
 
@@ -313,6 +315,14 @@ class TestTopPeaks:
         assert tuple(carbon) == (carbon.mass, carbon.abundance) == (12.0, 0.9892)
         with pytest.raises(AttributeError):
             carbon.abundance = 1.0
+
+    def test_table_that_redefines_a_builtin_element(self):
+        # A table's own carbon is walked, not the built-in one of that symbol.
+        table = IsotopeTable({"C": [Isotope(12.0, 0.5), Isotope(13.0, 0.5)]})
+        peaks = top_peaks("C2", 2, table)
+        assert [(p.mass, p.configuration) for p in peaks] == [(25.0, ((1, 1),)),
+                                                               (26.0, ((0, 2),))]
+        assert [p.abundance for p in peaks] == pytest.approx([0.5, 0.25], rel=1e-12)
 
     def test_single_isotope_formula(self, tmp_path):
         path = tmp_path / "t.tsv"
@@ -795,6 +805,7 @@ def test_peak_bits_match_a_loop(formula, k):
 # Run in a fresh interpreter, with or without numpy installed: the isotope
 # path loads none of the array modules, the table load does not load
 # utf_8_sig, and top_peaks leaves the cyclic collector on or off as it was.
+# Under -S, where site loads nothing, it loads no module it does not run.
 ISOTOPE_PATH = """
 import gc, sys
 dataclasses_at_start = "dataclasses" in sys.modules
@@ -811,6 +822,10 @@ assert not [name for name in deferred if name in sys.modules], "top_peaks loaded
 from summit.cli import main
 assert main(["isotopes", "--formula", "C3H8", "--k", "3"]) == 0
 assert not [name for name in deferred if name in sys.modules], "cli.main loaded them"
+assert "summit.expansion" not in sys.modules, "the isotope path loaded the naive expansion"
+unused = [name for name in ["importlib.resources", "pathlib", "zipfile", "typing", "__future__"]
+          if name in sys.modules]
+assert not (sys.flags.no_site and unused), f"the isotope path loaded {unused}"
 """
 
 # Run after ISOTOPE_PATH: the first engine call loads the array modules, and
@@ -825,21 +840,22 @@ assert "numpy.ma" not in sys.modules, "the masked-entry check loaded numpy.ma"
 """
 
 
-def run_fresh(script):
+def run_fresh(script, *flags):
     """Runs script in a fresh interpreter, since this test process may have
     numpy loaded already, and then checks that summit loaded no dataclasses.
     Returns the script's output."""
     script += ('assert dataclasses_at_start or "dataclasses" not in sys.modules, '
                '"summit loaded dataclasses"')
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_isotope_path_loads_no_numpy():
-    assert len(run_fresh(ISOTOPE_PATH).splitlines()) == 3
+    for flags in [], ["-S"]:
+        assert len(run_fresh(ISOTOPE_PATH, *flags).splitlines()) == 3
 
 
 def test_array_engines_load_on_first_use():
@@ -852,11 +868,12 @@ def test_package_names_are_their_modules_objects():
     # the very object its module holds, as an eager import would bind it.
     pytest.importorskip("numpy")
     import summit.bench
+    import summit.expansion
     import summit.oracle
     import summit.tensor
 
     modules = [summit.core, summit.isotopes, summit.tree,
-               summit.bench, summit.oracle, summit.tensor]
+               summit.bench, summit.expansion, summit.oracle, summit.tensor]
     namespace = {}
     exec("from summit import *", namespace)
     for name in summit.__all__:
