@@ -220,10 +220,8 @@ class PairNode:
         self.values: list[float] = []
         self.indices: list[tuple[int, ...]] = []
         self._counters = counters
-        # Children are nonempty by the input contract, so the corner cell
-        # always exists.
-        left.extend()
-        right.extend()
+        if not (left.extend() and right.extend()):
+            raise InputError("a source serves no entries")
         key = left.values[0] + right.values[0]
         if not isfinite(key):
             raise SumOverflowError()
@@ -338,6 +336,8 @@ def select(sources: "list[Source]", k: int) -> TopKResult:
             break
     # The root's lists are the result; a leaf's values run ahead of it.
     values, indices = root.values, root.indices
+    if not indices:
+        raise InputError("a source serves no entries")
     if len(values) > len(indices):
         values = values[: len(indices)]
     return TopKResult((), tree.counters, (values, indices))

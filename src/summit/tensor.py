@@ -1,44 +1,41 @@
 """Flat m-dimensional engine: best-first expansion over the implicit sum tensor.
 
-Both heap engines read ordered sources through one protocol, the Source
-that core's docstring states; the tensor's serve one-entry index tuples. Its
+Over Sources (core's docstring) that serve one-entry index tuples, its
 frontier is a ``heapq`` list of ``(-sum, push number, popped position, axis
 d, cell number)`` entries, each a step along d from a popped cell whose
-position tuple it shares. Ties pop in push order, and no comparison reaches
-past it. A source is extended only by a pop at a new highest coordinate on
-its axis, so it serves at most pops + 1 entries and no coordinate exceeds k.
-A cell's number reads its position as digits in radix k + 1, so distinct
-cells get distinct numbers; a visited set of them keeps a cell reachable from
-m predecessors from entering it twice.
+position tuple it shares; ties pop in push order, and no comparison reaches
+past it. A source is extended only for a new cell at a new highest coordinate
+on its axis, so it serves at most pops + 1 entries and no coordinate exceeds
+k. A cell's number reads its position as digits in radix k + 1, so distinct
+cells get distinct numbers, and a visited set of them keeps a cell that m
+predecessors reach from entering twice. It is tested first: a coordinate not
+served yet is in no visited cell. Pops record their positions, and the index
+tuples are joined from them once, after the walk.
 """
-
-from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush, heapreplace
 from math import isfinite
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .core import (NUMBER_BYTES, InputError, InstrumentationCounters, SumOverflowError,
                    TopKResult, capacity, gc_paused, normalize_k)
 
 
-def tensor_select(sources: list[Source], k: int) -> TopKResult:
-    """The top k values of the sum of ordered sources, as core.select gives
-    them through a tree: k is checked, not clamped, the walk stops when k
-    values are out or the fringe runs dry, and k=0 extends nothing. Sources
-    serve one-entry index tuples, as LeafSource and ElementSource do."""
+def tensor_select(sources: "list[Source]", k: int) -> TopKResult:
+    """Top k values of the sum of sources serving one-entry index tuples, as
+    core.select gives them through a tree: k is checked, not clamped, the walk
+    stops when k values are out or the fringe runs dry; k=0 extends nothing."""
     k = normalize_k(k, sys.maxsize)
     if k == 0:
         return TopKResult([], InstrumentationCounters())
     if not sources:
         raise InputError("need at least one source")
     m = len(sources)
-    # Sources are nonempty by contract; they extend these lists in place.
-    for source in sources:
-        source.extend()
+    if not all(source.extend() for source in sources):
+        raise InputError("a source serves no entries")
+    # Sources extend axes in place; flat, each axis's original indices, grows with them.
     axes = [source.values for source in sources]
-    # Each axis's original indices, grown with its source: an O(m) join per pop.
     flat = [list(source.indices[0]) for source in sources]
     if any(len(served) != 1 for served in flat):
         raise InputError("tensor sources must serve one-entry index tuples")
@@ -55,8 +52,7 @@ def tensor_select(sources: list[Source], k: int) -> TopKResult:
     visited = {0}
     pushes = peak = 1
     dims = range(m)
-    values: list[float] = []
-    index_tuples: list[tuple[int, ...]] = []
+    values, positions = [], []
     while fringe and len(values) < k:
         # The top stays in place until its first new successor replaces it.
         neg_key, _, parent, step, code = fringe[0]
@@ -64,19 +60,19 @@ def tensor_select(sources: list[Source], k: int) -> TopKResult:
         cell[step] += 1
         pos = tuple(cell)
         values.append(-neg_key)
-        index_tuples.append(tuple(map(getitem, flat, pos)))
+        positions.append(pos)
         put = heapreplace
         row = None
         for d in dims:
+            succ = code + strides[d]
+            if succ in visited:
+                continue
             nxt = pos[d] + 1
             if nxt == len(flat[d]):
                 if not sources[d].extend():
                     continue
                 flat[d] += sources[d].indices[nxt]
-            succ = code + strides[d]
             visited.add(succ)
-            if len(visited) == pushes:
-                continue
             pushes += 1
             if row is None:
                 row = list(map(getitem, axes, pos))
@@ -93,6 +89,10 @@ def tensor_select(sources: list[Source], k: int) -> TopKResult:
             heappop(fringe)
         if len(fringe) > peak:
             peak = len(fringe)
+    # One join per query, a C-level gather per axis; a spare copy of row 0 keeps k=1 a tuple.
+    getters = map(itemgetter, *positions, positions[0])
+    index_tuples = list(zip(*[get(served) for get, served in zip(getters, flat)]))
+    index_tuples.pop()
     counters = InstrumentationCounters(pushes, len(values), peak, (1 + m) * NUMBER_BYTES)
     return TopKResult((), counters, (values, index_tuples))
 

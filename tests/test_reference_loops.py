@@ -1,14 +1,18 @@
 """Both heap engines against their earlier pop loops, kept here as references.
 
 The engines now peek at the fringe's top and replace it with the first
-successor, and the tensor keys its visited set on integer cell numbers, sums
-each new successor from the popped cell's row of values, and pushes entries
-that share the popped cell's position tuple. The arithmetic is unchanged, so
-values (compared by ``float.hex``), index tuples and every counter must equal
-those of the loops below, which pop first, build successors from slices, test
-a visited set of position tuples with ``in`` before adding and sum each key
-from the sorted vectors. The inputs are small integers, so ties are everywhere
-and any change in tie order shows.
+successor. The tensor keys its visited set on integer cell numbers and tests
+it before it reads a successor's position or extends a source, sums each new
+successor from the popped cell's row of values, pushes entries that share the
+popped cell's position tuple, and joins all index tuples once, after the
+walk. The arithmetic is unchanged, so values (compared by ``float.hex``),
+index tuples and every counter must equal those of the loops below, which pop
+first, join each pop's index tuple as it pops, build successors from slices,
+grow a leaf before the visited test, test a visited set of position tuples
+with ``in`` before adding and sum each key from the sorted vectors. The tensor
+must also extend each source exactly as far as the reference pushes along its
+axis. The inputs are small integers, so ties are everywhere and any change in
+tie order shows.
 """
 
 import math
@@ -34,6 +38,7 @@ from summit import (
     tree_top_k,
 )
 from summit.core import NUMBER_BYTES, capacity, normalize_k
+from summit.tensor import tensor_select
 from summit.tree import as_float_vectors, leaf_sources
 
 from helpers import FAKE_COMPOUND
@@ -42,14 +47,15 @@ MAX_CELLS = 3000
 MAX_LENGTH = 300  # past FIRST_LAYER, so a lone vector's leaf grows a layer
 
 
-def reference_tensor_top_k(vectors, k: int) -> TopKResult:
+def reference_tensor_top_k(vectors, k: int) -> tuple[TopKResult, list[int]]:
     """The tensor engine's loop as it was: heappop first, successors from
-    slices, then ``in`` before ``add``."""
+    slices, then ``in`` before ``add``. Also returns the highest coordinate
+    pushed on each axis, -1 where nothing was."""
     axes = as_float_vectors(vectors)
     want = normalize_k(k, capacity(len(a) for a in axes))
-    if want == 0:
-        return TopKResult([], InstrumentationCounters())
     m = len(axes)
+    if want == 0:
+        return TopKResult([], InstrumentationCounters()), [-1] * m
     leaves = leaf_sources(axes)
     sorted_axes = [leaf.values for leaf in leaves]
     perms = [leaf.permutation for leaf in leaves]
@@ -59,6 +65,7 @@ def reference_tensor_top_k(vectors, k: int) -> TopKResult:
         raise SumOverflowError()
     fringe = [(-key, 1, origin)]
     visited = {origin}
+    reach = [0] * m
     peak = 1
     values, index_tuples = [], []
     while len(values) < want:
@@ -77,10 +84,11 @@ def reference_tensor_top_k(vectors, k: int) -> TopKResult:
             if not isfinite(key):
                 raise SumOverflowError()
             heappush(fringe, (-key, len(visited), succ))
+            reach[d] = max(reach[d], nxt)
         if len(fringe) > peak:
             peak = len(fringe)
     counters = InstrumentationCounters(len(visited), want, peak, (1 + m) * NUMBER_BYTES)
-    return TopKResult((), counters, (values, index_tuples))
+    return TopKResult((), counters, (values, index_tuples)), reach
 
 
 def reference_extend(self) -> bool:
@@ -151,17 +159,33 @@ def small_ints(seed, *sizes):
     return [[rng.randint(-3, 3) for _ in range(n)] for n in sizes]
 
 
+def assert_same_walk(vectors, k):
+    """tensor_top_k runs as the reference loop does, and tensor_select, given
+    k unclamped, stops with the same run when the fringe runs dry and leaves
+    each leaf served to exactly 1 + the highest coordinate pushed on its axis."""
+    reference, reach = reference_tensor_top_k(vectors, k)
+    assert_same_run(tensor_top_k(vectors, k), reference)
+    leaves = leaf_sources(as_float_vectors(vectors))
+    assert_same_run(tensor_select(leaves, k), reference)
+    assert [len(leaf.indices) for leaf in leaves] == [r + 1 for r in reach]
+
+
 @settings(max_examples=150)
 @given(tied_instances())
 # Shapes that tied_instances rarely or never draws: a long axis that grows
 # past FIRST_LAYER, a block whose rows grow past BLOCK_LAYER, and cell
-# numbers past 2**63.
+# numbers past 2**63. Then the join's edge cases: k=1, where a gather over
+# one position returns a bare int, at m=1, m=3 and on a vector past
+# FIRST_LAYER, and a k past the cell count, where the fringe runs dry.
 @example((small_ints(1, 600, 2, 3), 1500))
 @example((small_ints(2, 40, 40, 40), 500))
 @example((small_ints(3, *[2] * 70), 300))
+@example((small_ints(4, 5), 1))
+@example((small_ints(5, 3, 4, 2), 1))
+@example((small_ints(6, 3, 2), 9))
+@example((small_ints(7, 600), 1))
 def test_tensor_matches_its_reference_loop(case):
-    vectors, k = case
-    assert_same_run(tensor_top_k(vectors, k), reference_tensor_top_k(vectors, k))
+    assert_same_walk(*case)
 
 
 def fake_compound_expansion():
@@ -175,8 +199,7 @@ def fake_compound_expansion():
                                       (fake_compound_expansion, 512)],
                          ids=["m=n=k=64", "fake-compound"])
 def test_tensor_matches_its_reference_loop_at_large_m(build, k):
-    vectors = build()
-    assert_same_run(tensor_top_k(vectors, k), reference_tensor_top_k(vectors, k))
+    assert_same_walk(build(), k)
 
 
 @settings(max_examples=150)

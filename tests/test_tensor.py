@@ -45,3 +45,24 @@ def test_sources_must_serve_one_entry_index_tuples(pair_first):
     sources = [pair, third] if pair_first else [third, pair]
     with pytest.raises(InputError, match="one-entry index tuples"):
         tensor_select(sources, 3)
+
+
+class Empty:
+    """A source whose first extend() serves nothing."""
+
+    def __init__(self):
+        self.values, self.indices = [], []
+
+    def extend(self):
+        return False
+
+
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside-a-leaf"])
+@pytest.mark.parametrize("engine", [tensor_select, select])
+def test_a_source_that_serves_nothing(engine, beside):
+    # A named error from either engine, alone or beside a leaf (under a pair
+    # node, for select), not an IndexError or an empty result.
+    sources = leaf_sources(as_float_vectors([[3, 1]])) if beside else []
+    sources.append(Empty())
+    with pytest.raises(InputError, match="serves no entries"):
+        engine(sources, 2)
